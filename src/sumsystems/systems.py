@@ -10,6 +10,17 @@ Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
 F(l) * {0, ..., f_l - 1} to its part's component.  Verification performs the
 full Minkowski fold and never trusts construction.
+
+Both verifiers share one fold over integers used as bitsets: component A
+becomes the bit-polynomial sum of 2^a over a in A, and the running product
+of these polynomials has coefficient c at 2^s when s arises as a sum in c
+ways.  A repeated sum forces a carry and every carry lowers the popcount,
+so a stage is collision-free exactly when the popcount of the product is
+|acc| * |A_j|.  Before any bitset is built, a system whose largest possible
+sum (sum of max A_j) exceeds N - 1 is rejected as not covering, which
+bounds every bitset by N bits whatever the stated values; past that check,
+N distinct sums in 0..N-1 are all of 0..N-1, so a collision-free fold
+covers.
 """
 
 from __future__ import annotations
@@ -38,20 +49,10 @@ def _check_sorted_strict(comp: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class SumSystem:
-    """Components of a (candidate) sum system, each sorted ascending."""
+class _Components:
+    """Shared shape of the plain and centred systems: N and cardinalities."""
 
     components: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        comps = _as_component_tuples(self.components)
-        if not comps:
-            raise ValueError("a sum system needs at least one component")
-        for comp in comps:
-            _check_sorted_strict(comp)
-            if comp[0] < 0:
-                raise ValueError("sum system values must be non-negative")
-        object.__setattr__(self, "components", comps)
 
     @property
     def N(self) -> int:
@@ -63,14 +64,27 @@ class SumSystem:
 
 
 @dataclass(frozen=True)
-class CentredSumSystem:
+class SumSystem(_Components):
+    """Components of a (candidate) sum system, each sorted ascending."""
+
+    def __post_init__(self) -> None:
+        comps = _as_component_tuples(self.components)
+        if not comps:
+            raise ValueError("a sum system needs at least one component")
+        for comp in comps:
+            _check_sorted_strict(comp)
+            if comp[0] < 0:
+                raise ValueError("sum system values must be non-negative")
+        object.__setattr__(self, "components", comps)
+
+
+@dataclass(frozen=True)
+class CentredSumSystem(_Components):
     """Centred components stored as doubled integers (2a - max A_j).
 
     Each stored component is symmetric about 0 and all of its values share
     one parity; odd stored values mean the true component is half-integral.
     """
-
-    components: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         comps = _as_component_tuples(self.components)
@@ -89,14 +103,6 @@ class CentredSumSystem:
                         "values within a centred component must share parity"
                     )
         object.__setattr__(self, "components", comps)
-
-    @property
-    def N(self) -> int:
-        return prod(len(c) for c in self.components)
-
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
 
     @property
     def half_integer(self) -> tuple[bool, ...]:
@@ -212,11 +218,45 @@ def minkowski_sum(a, b) -> tuple[tuple[int, ...], bool]:
     return tuple(sorted(sums)), len(sums) == len(a) * len(b)
 
 
+def _bitset(comp: tuple[int, ...]) -> int:
+    """Integer with bit v set for each v in an ascending non-negative comp.
+
+    Filling a bytearray and converting once costs O(|comp| + max/8); summing
+    1 << v would build a max-bit integer per value.
+    """
+    buf = bytearray((comp[-1] >> 3) + 1)
+    for v in comp:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _fold(components, n: int, cover_reason: str) -> Verdict:
+    """Fold components, each ascending from 0, whose sizes multiply to n.
+
+    Rejects with cover_reason when the maxima sum past n - 1, before any
+    bitset is built; otherwise reports the first stage whose product
+    carries.  A collision-free fold has n distinct sums within 0..n-1, so
+    it covers them (and when the maxima sum below n - 1 it must collide).
+    """
+    if sum(comp[-1] for comp in components) > n - 1:
+        return False, cover_reason
+    acc = size = 1
+    for j, comp in enumerate(components, start=1):
+        acc *= _bitset(comp)
+        size *= len(comp)
+        if acc.bit_count() != size:
+            return False, f"sums collide when component {j} is added"
+    return True, None
+
+
 def verify_sum_system(system: SumSystem) -> Verdict:
     """Full check that the components form a sum system.
 
     Each component must contain 0, be palindromic (A = max A - A), and the
-    Minkowski fold must reach 0..N-1 with no collision at any stage.
+    Minkowski fold must reach 0..N-1 with no collision at any stage.  Past
+    the per-component checks, a system with sum of max A_j > N - 1 is
+    reported as not covering, even where a collision also occurs; otherwise
+    the first component whose addition collides is reported.
     """
     for j, comp in enumerate(system.components, start=1):
         if len(comp) < 2:
@@ -228,19 +268,18 @@ def verify_sum_system(system: SumSystem) -> Verdict:
         if any(comp[i] + comp[k - 1 - i] != top for i in range(k // 2 + 1)):
             return False, f"component {j} is not palindromic"
     n = system.N
-    acc = {0}
-    for j, comp in enumerate(system.components, start=1):
-        new = {x + y for x in acc for y in comp}
-        if len(new) != len(acc) * len(comp):
-            return False, f"sums collide when component {j} is added"
-        acc = new
-    if acc != set(range(n)):
-        return False, f"sums do not cover 0..{n - 1}"
-    return True, None
+    return _fold(system.components, n, f"sums do not cover 0..{n - 1}")
 
 
 def verify_centred(centred: CentredSumSystem) -> Verdict:
-    """Full check on doubled values: fold must hit 2k - (N - 1), k in 0..N-1."""
+    """Full check on doubled values: fold must hit 2k - (N - 1), k in 0..N-1.
+
+    After the symmetry and parity checks, each doubled component with
+    maximum M is mapped by v -> (v + M) / 2 onto 0..M.  The map is affine,
+    so the plain fold of the mapped components collides and covers 0..N-1
+    exactly when the doubled fold collides and covers -(N-1)..N-1 in steps
+    of 2; the reason precedence is that of verify_sum_system.
+    """
     for j, comp in enumerate(centred.components, start=1):
         if len(comp) < 2:
             return False, f"component {j} has fewer than 2 values"
@@ -250,16 +289,10 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
         parity = comp[0] & 1
         if any((v & 1) != parity for v in comp):
             return False, f"component {j} mixes parities"
-    n = centred.N
-    acc = {0}
-    for j, comp in enumerate(centred.components, start=1):
-        new = {x + y for x in acc for y in comp}
-        if len(new) != len(acc) * len(comp):
-            return False, f"sums collide when component {j} is added"
-        acc = new
-    if acc != set(range(-(n - 1), n, 2)):
-        return False, "doubled sums do not cover -(N-1)..N-1 in steps of 2"
-    return True, None
+    plain = [tuple((v + comp[-1]) >> 1 for v in comp) for comp in centred.components]
+    return _fold(
+        plain, centred.N, "doubled sums do not cover -(N-1)..N-1 in steps of 2"
+    )
 
 
 def sigma_a(system: SumSystem) -> int:
@@ -285,27 +318,17 @@ def tau_c(centred: CentredSumSystem) -> Fraction:
 
 def system_to_json(system) -> dict:
     """JSON document for a system; centred variants set doubled = true."""
-    if isinstance(system, SumSystem):
-        return {
-            "N": system.N,
-            "components": [list(c) for c in system.components],
-            "doubled": False,
-        }
-    if isinstance(system, CentredSumSystem):
-        return {
-            "N": system.N,
-            "components": [list(c) for c in system.components],
-            "doubled": True,
-        }
+    if not isinstance(system, (SumSystem, CentredSumSystem, SumAndDistanceSystem)):
+        raise TypeError(f"cannot serialise {type(system).__name__}")
+    doc = {
+        "N": system.N,
+        "components": [list(c) for c in system.components],
+        "doubled": not isinstance(system, SumSystem),
+    }
     if isinstance(system, SumAndDistanceSystem):
-        return {
-            "N": system.N,
-            "components": [list(c) for c in system.components],
-            "doubled": True,
-            "even_parts": list(system.even_parts),
-            "odd_parts": list(system.odd_parts),
-        }
-    raise TypeError(f"cannot serialise {type(system).__name__}")
+        doc["even_parts"] = list(system.even_parts)
+        doc["odd_parts"] = list(system.odd_parts)
+    return doc
 
 
 def system_from_json(doc) -> "SumSystem | CentredSumSystem":

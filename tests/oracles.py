@@ -117,3 +117,43 @@ def brute_minkowski(parts) -> list[int]:
     for comp in parts:
         sums = [a + b for a in sums for b in comp]
     return sorted(sums)
+
+
+def set_fold_verify(components, centred: bool) -> tuple[bool, "str | None"]:
+    """Verdict of a plain or centred (doubled) system by a Python-set fold.
+
+    This is the verifiers' original route: the per-component checks, then
+    the set of partial sums grown one component at a time, a collision
+    showing as fewer sums than |acc| * |A_j|, then coverage of 0..N-1
+    (plain) or -(N-1)..N-1 in steps of 2 (centred).
+    """
+    for j, comp in enumerate(components, start=1):
+        k = len(comp)
+        if k < 2:
+            return False, f"component {j} has fewer than 2 values"
+        if centred:
+            if any(comp[i] + comp[k - 1 - i] != 0 for i in range(k // 2 + 1)):
+                return False, f"component {j} is not symmetric about 0"
+            if any((v & 1) != (comp[0] & 1) for v in comp):
+                return False, f"component {j} mixes parities"
+        else:
+            if comp[0] != 0:
+                return False, f"component {j} does not contain 0"
+            top = comp[-1]
+            if any(comp[i] + comp[k - 1 - i] != top for i in range(k // 2 + 1)):
+                return False, f"component {j} is not palindromic"
+    n = 1
+    for comp in components:
+        n *= len(comp)
+    acc = {0}
+    for j, comp in enumerate(components, start=1):
+        new = {x + y for x in acc for y in comp}
+        if len(new) != len(acc) * len(comp):
+            return False, f"sums collide when component {j} is added"
+        acc = new
+    if centred:
+        if acc != set(range(-(n - 1), n, 2)):
+            return False, "doubled sums do not cover -(N-1)..N-1 in steps of 2"
+    elif acc != set(range(n)):
+        return False, f"sums do not cover 0..{n - 1}"
+    return True, None
