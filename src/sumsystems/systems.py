@@ -16,11 +16,12 @@ becomes the bit-polynomial sum of 2^a over a in A, and the running product
 of these polynomials has coefficient c at 2^s when s arises as a sum in c
 ways.  A repeated sum forces a carry and every carry lowers the popcount,
 so a stage is collision-free exactly when the popcount of the product is
-|acc| * |A_j|.  Before any bitset is built, a system whose largest possible
-sum (sum of max A_j) exceeds N - 1 is rejected as not covering, which
-bounds every bitset by N bits whatever the stated values; past that check,
-N distinct sums in 0..N-1 are all of 0..N-1, so a collision-free fold
-covers.
+|acc| * |A_j|.  A stage whose sums would fill less than 1/64 of their
+range is added on a set of sums instead, so the memory of every stage
+follows the number of sums it produces, not the size of the values.
+Before the fold, a system whose largest possible sum (sum of max A_j)
+exceeds N - 1 is rejected as not covering; past that check, N distinct
+sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 """
 
 from __future__ import annotations
@@ -218,33 +219,65 @@ def minkowski_sum(a, b) -> tuple[tuple[int, ...], bool]:
     return tuple(sorted(sums)), len(sums) == len(a) * len(b)
 
 
-def _bitset(comp: tuple[int, ...]) -> int:
-    """Integer with bit v set for each v in an ascending non-negative comp.
+def _bitset(values) -> int:
+    """Integer with bit v set for each non-negative v in values.
 
-    Filling a bytearray and converting once costs O(|comp| + max/8); summing
-    1 << v would build a max-bit integer per value.
+    Filling a bytearray and converting once costs O(|values| + max/8);
+    summing 1 << v would build a max-bit integer per value.
     """
-    buf = bytearray((comp[-1] >> 3) + 1)
-    for v in comp:
+    buf = bytearray((max(values) >> 3) + 1)
+    for v in values:
         buf[v >> 3] |= 1 << (v & 7)
     return int.from_bytes(buf, "little")
+
+
+def _members(bits: int) -> set[int]:
+    """The positions of the set bits of a non-negative integer."""
+    digits = bin(bits)[:1:-1]
+    found = set()
+    i = digits.find("1")
+    while i >= 0:
+        found.add(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
+# A stage is multiplied as bitsets while its sums would fill at least
+# 1/_DENSE of their range, so a bitset takes at most 8 bytes per sum, less
+# than a set entry.  Sparser products grow with the range, not the sums,
+# and a set of the sums is both smaller and faster.
+_DENSE = 64
 
 
 def _fold(components, n: int, cover_reason: str) -> Verdict:
     """Fold components, each ascending from 0, whose sizes multiply to n.
 
-    Rejects with cover_reason when the maxima sum past n - 1, before any
-    bitset is built; otherwise reports the first stage whose product
-    carries.  A collision-free fold has n distinct sums within 0..n-1, so
-    it covers them (and when the maxima sum below n - 1 it must collide).
+    Rejects with cover_reason when the maxima sum past n - 1; otherwise
+    reports the first stage whose sums collide.  A dense stage multiplies
+    bitsets and counts the product's set bits, a sparse one (the range
+    wider than _DENSE times the sums) counts a set of sums, so no bitset
+    holds more than _DENSE bits per sum of its stage.  A collision-free
+    fold has n distinct sums within 0..n-1, so it covers them (and when
+    the maxima sum below n - 1 it must collide).
     """
     if sum(comp[-1] for comp in components) > n - 1:
         return False, cover_reason
-    acc = size = 1
+    acc: set[int] | int = {0}
+    width = size = 1
     for j, comp in enumerate(components, start=1):
-        acc *= _bitset(comp)
+        width += comp[-1]
         size *= len(comp)
-        if acc.bit_count() != size:
+        if width <= _DENSE * size:
+            if isinstance(acc, set):
+                acc = _bitset(acc)
+            acc *= _bitset(comp)
+            distinct = acc.bit_count()
+        else:
+            if isinstance(acc, int):
+                acc = _members(acc)
+            acc = {x + y for x in acc for y in comp}
+            distinct = len(acc)
+        if distinct != size:
             return False, f"sums collide when component {j} is added"
     return True, None
 

@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used only by the tests.
 
-Nothing here imports from the package: factorisation is naive trial
-division, convolution scans 1..n, and the counting oracles enumerate
-tuples outright.  Frozen expected values in the tests were produced by
-these functions.
+Apart from all_jofs_up_to, a walk over the package's own JOF enumeration
+that feeds the system tests, nothing here imports from the package:
+factorisation is naive trial division, convolution scans 1..n, and the
+counting oracles enumerate tuples outright.  Frozen expected values in
+the tests were produced by these functions.
 """
 
 from __future__ import annotations
@@ -109,6 +110,16 @@ def naive_stirling2(total: int, blocks: int) -> int:
         (-1) ** i * comb(blocks, i) * (blocks - i) ** total for i in range(blocks + 1)
     )
     return acc // factorial(blocks)
+
+
+def all_jofs_up_to(limit):
+    """Every JOF of every target tuple with product N in 2..limit."""
+    from sumsystems.jof import enumerate_jofs, ordered_factorisations
+
+    for n in range(2, limit + 1):
+        for m in range(1, 8):
+            for parts in ordered_factorisations(n, m):
+                yield from enumerate_jofs(parts)
 
 
 def brute_minkowski(parts) -> list[int]:

@@ -1,41 +1,49 @@
-"""The bitset Minkowski fold behind both verifiers, against the set fold.
+"""The Minkowski fold behind both verifiers, against the set fold.
 
 oracles.set_fold_verify is the verifiers' original route.  Verdicts must
 always agree.  Reasons must agree whenever sum of max A_j <= N - 1; above
-that the bitset fold reports non-coverage before it looks for collisions.
+that the fold reports non-coverage before it looks for collisions.  The
+fold multiplies bitsets on dense stages and adds sets on sparse ones, so
+systems whose stages switch between the two are checked as well.
 """
 
 import json
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsystems.cli import run
-from sumsystems.jof import enumerate_jofs, ordered_factorisations
 from sumsystems.systems import (
     CentredSumSystem,
     SumSystem,
-    build_centred,
     build_sum_system,
     centre,
     system_from_json,
-    system_to_json,
     verify_centred,
     verify_sum_system,
 )
 
-from oracles import set_fold_verify
+from oracles import all_jofs_up_to, set_fold_verify
 
 PLAIN_COVER = "sums do not cover 0..1"
 CENTRED_COVER = "doubled sums do not cover -(N-1)..N-1 in steps of 2"
+COLLIDE_3 = "sums collide when component 3 is added"
 
-
-def all_jofs_up_to(limit):
-    for n in range(2, limit + 1):
-        for m in range(1, 8):
-            for parts in ordered_factorisations(n, m):
-                yield from enumerate_jofs(parts)
+# N = 2^38 passes every per-component check and the guard (the maxima sum
+# to 2^36 + 37), but the third component already collides; only sparse
+# sets of up to 8 sums may be built before that shows.
+WIDE_N_PLAIN = {
+    "N": 2**38,
+    "components": [[0, 2**36]] + [[0, 1]] * 37,
+    "doubled": False,
+}
+WIDE_N_CENTRED = {
+    "N": 2**38,
+    "components": [[-(2**36), 2**36]] + [[-1, 1]] * 37,
+    "doubled": True,
+}
 
 
 def check_against_oracle(system):
@@ -100,13 +108,6 @@ def corruptions(jof, rng):
 
 
 class TestAgainstSetFold:
-    def test_every_jof_up_to_64(self):
-        for jof in all_jofs_up_to(64):
-            system = build_sum_system(jof)
-            assert check_against_oracle(system) == (True, None)
-            assert check_against_oracle(build_centred(jof)) == (True, None)
-            assert check_against_oracle(centre(system)) == (True, None)
-
     def test_seeded_corruptions(self):
         rng = random.Random(20230321)
         verdicts = {True: 0, False: 0}
@@ -119,28 +120,69 @@ class TestAgainstSetFold:
         # the corruptions reach both verdicts, not only rejections
         assert verdicts[True] > 0 and verdicts[False] > 0
 
-    def test_wrong_stated_n_is_refused(self):
-        rng = random.Random(7)
-        for jof in list(all_jofs_up_to(64))[::25]:
-            for system in (build_sum_system(jof), build_centred(jof)):
-                doc = system_to_json(system)
-                doc["N"] += rng.choice((-1, 1)) * rng.randrange(1, doc["N"])
-                with pytest.raises(ValueError, match="stated N"):
-                    system_from_json(doc)
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            # sparse stages on sets, then dense ones on bitsets
+            tuple(range(15, -1, -1)),
+            # dense, sparse from the wide third component, dense again
+            (0, 1, 15) + tuple(range(2, 15)),
+        ],
+    )
+    def test_stages_switch_between_sets_and_bitsets(self, exponents):
+        binary = tuple((0, 1 << k) for k in exponents)
+        assert check_against_oracle(SumSystem(binary)) == (True, None)
+        assert check_against_oracle(centre(SumSystem(binary))) == (True, None)
+        # 2^15 replaced by a second 2^3 collides where the oracle says
+        repeated = tuple((0, 8) if c == (0, 1 << 15) else c for c in binary)
+        ok, reason = check_against_oracle(SumSystem(repeated))
+        assert not ok and "collide" in reason
 
 
 @st.composite
 def palindromic(draw):
-    """A small component containing 0 and symmetric about half its maximum."""
+    """A small component containing 0 and symmetric about half its maximum,
+    sometimes scaled up so that the fold adds it on a sparse set."""
     top = draw(st.integers(1, 24))
     half = draw(st.sets(st.integers(0, top // 2), max_size=6))
-    return tuple(sorted({0, top} | half | {top - v for v in half}))
+    scale = draw(st.sampled_from((1, 1, 1, 50)))
+    return tuple(scale * v for v in sorted({0, top} | half | {top - v for v in half}))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.lists(palindromic(), min_size=1, max_size=4))
 def test_random_palindromic_components(comps):
     plain = SumSystem(tuple(comps))
+    ok, _ = check_against_oracle(plain)
+    assert check_against_oracle(centre(plain))[0] == ok
+
+
+@st.composite
+def shuffled_systems(draw):
+    """A sum system with N up to 16384 from random (part, factor) entries,
+    its components in random order, so a wide component early on makes
+    sparse stages; sometimes one symmetric pair is moved."""
+    m = draw(st.integers(2, 5))
+    factors = st.integers(2, 6)
+    entries = [(part, draw(factors)) for part in range(1, m + 1)]
+    for part, factor in draw(st.lists(st.tuples(st.integers(1, m), factors))):
+        if prod(f for _, f in entries) * factor <= 16384:
+            entries.append((part, factor))
+    comps = blow_up(draw(st.permutations(entries)), m)
+    comps = tuple(draw(st.permutations(comps)))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        rng = draw(st.randoms(use_true_random=False))
+        moved = move_symmetric_pair(comps[j], rng)
+        if moved is not None:
+            comps = comps[:j] + (moved,) + comps[j + 1:]
+    return comps
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shuffled_systems())
+def test_shuffled_systems(comps):
+    plain = SumSystem(comps)
     ok, _ = check_against_oracle(plain)
     assert check_against_oracle(centre(plain))[0] == ok
 
@@ -153,6 +195,10 @@ class TestHostileValues:
         system = CentredSumSystem(((-(10**18), 10**18),))
         assert verify_centred(system) == (False, CENTRED_COVER)
 
+    @pytest.mark.parametrize("doc", [WIDE_N_PLAIN, WIDE_N_CENTRED])
+    def test_wide_value_under_huge_n_collides(self, doc):
+        assert check_against_oracle(system_from_json(doc)) == (False, COLLIDE_3)
+
     @pytest.mark.parametrize(
         "doc, reason",
         [
@@ -161,6 +207,8 @@ class TestHostileValues:
                 {"N": 2, "components": [[-(10**18), 10**18]], "doubled": True},
                 CENTRED_COVER,
             ),
+            (WIDE_N_PLAIN, COLLIDE_3),
+            (WIDE_N_CENTRED, COLLIDE_3),
         ],
     )
     def test_cli_verify_exits_1(self, capsys, tmp_path, doc, reason):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from sumsystems.jof import enumerate_jofs, ordered_factorisations
 from sumsystems.systems import (
     CentredSumSystem,
     SumAndDistanceSystem,
@@ -22,7 +21,7 @@ from sumsystems.systems import (
     verify_sum_system,
 )
 
-from oracles import brute_minkowski
+from oracles import all_jofs_up_to, brute_minkowski, set_fold_verify
 
 # two three-part systems for 270, from the same cardinalities (9, 5, 6)
 JOF_A = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
@@ -43,13 +42,6 @@ CENTRED_B = (
     (-12, -6, 0, 6, 12),
     (-165, -135, -105, 105, 135, 165),
 )
-
-
-def all_jofs_up_to(limit):
-    for n in range(2, limit + 1):
-        for m in range(1, 8):
-            for parts in ordered_factorisations(n, m):
-                yield from enumerate_jofs(parts)
 
 
 class TestBuild:
@@ -159,9 +151,12 @@ class TestVerify:
         assert not ok and "cover" in reason
 
     def test_every_built_system_verifies(self):
-        for jof in all_jofs_up_to(48):
-            assert verify_sum_system(build_sum_system(jof)) == (True, None)
-            assert verify_centred(build_centred(jof)) == (True, None)
+        for jof in all_jofs_up_to(64):
+            plain, centred = build_sum_system(jof), build_centred(jof)
+            assert verify_sum_system(plain) == (True, None)
+            assert verify_centred(centred) == (True, None)
+            assert set_fold_verify(plain.components, centred=False) == (True, None)
+            assert set_fold_verify(centred.components, centred=True) == (True, None)
 
     def test_verification_matches_brute_minkowski(self):
         s = build_sum_system(JOF_A)
@@ -253,18 +248,23 @@ class TestJson:
             system_from_json(doc)
 
     def test_rejections(self):
-        good = system_to_json(build_sum_system(JOF_A))
-        for mutate in (
-            lambda d: d.pop("N"),
-            lambda d: d.update(N=271),
-            lambda d: d.update(doubled="no"),
-            lambda d: d.update(components="nope"),
-            lambda d: d["components"][0].append("x"),
+        for good in (
+            system_to_json(build_sum_system(JOF_A)),
+            system_to_json(build_centred(JOF_A)),
         ):
-            doc = {k: (v.copy() if isinstance(v, list) else v) for k, v in good.items()}
-            doc["components"] = [c[:] for c in good["components"]]
-            mutate(doc)
-            with pytest.raises(ValueError):
-                system_from_json(doc)
+            for mutate in (
+                lambda d: d.pop("N"),
+                lambda d: d.update(N=271),
+                lambda d: d.update(doubled="no"),
+                lambda d: d.update(components="nope"),
+                lambda d: d["components"][0].append("x"),
+            ):
+                doc = {
+                    k: (v.copy() if isinstance(v, list) else v) for k, v in good.items()
+                }
+                doc["components"] = [c[:] for c in good["components"]]
+                mutate(doc)
+                with pytest.raises(ValueError):
+                    system_from_json(doc)
         with pytest.raises(ValueError):
             system_from_json([1, 2, 3])
