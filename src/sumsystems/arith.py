@@ -6,16 +6,30 @@ companions c_j, and the two-parameter family c_j^(r) obtained by convolving
 c_j with 1^(*r) (or with mu^(*|r|) when r is negative).  Convolution powers
 of e - mu count ordered factorisations into square-free non-trivial factors,
 up to sign; they drive the counting module.
+
+All of these are evaluated as short binomial sums of the generalised
+divisor function d_k(n) = prod over p^e || n of C(e + k - 1, e), which is
+defined for every integer k (d_k = 1^(*k) for k >= 0, mu^(*|k|) for k < 0)
+and depends only on the prime signature of n.  The convolution algebra
+(ArithmeticFunction, convolve, convolution_power) stays as the reference
+these sums are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, isqrt
 from typing import Callable
 
-MAX_INPUT = 2**63 - 1  # domain cap; keeps factorisation cost bounded
+# Domain cap: values beyond it are refused before any factorisation.  It
+# bounds the size of the numbers, not the time: trial division of a prime
+# near the cap takes minutes.
+MAX_INPUT = 2**63 - 1
+
+# Entries kept by each signature-keyed cache.  A signature is a partition of
+# Omega(n) <= 62, and realistic workloads touch a few hundred of them.
+_SIGNATURE_CACHE = 4096
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,11 @@ class PrimeFactorisation:
     @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
+
+    @cached_property
+    def signature(self) -> tuple[int, ...]:
+        """Prime exponents in descending order: all that d_k(n) depends on."""
+        return tuple(sorted((e for _, e in self.factors), reverse=True))
 
 
 def _check_positive(n: int) -> int:
@@ -159,12 +178,26 @@ def convolution_power(f: ArithmeticFunction, j: int) -> ArithmeticFunction:
         return E
     if j == 1:
         return f
-    power = f._powers.get(j)
-    if power is None:
-        power = convolve(f, convolution_power(f, j - 1))
-        power.name = f"{f.name}^(*{j})"
-        f._powers[j] = power
-    return power
+    # f._powers holds the powers 2, 3, ... without gaps
+    for k in range(len(f._powers) + 2, j + 1):
+        f._powers[k] = ArithmeticFunction(
+            lambda n, k=k: _power_value(f, k, n), name=f"{f.name}^(*{k})"
+        )
+    return f._powers[j]
+
+
+def _power_value(f: ArithmeticFunction, j: int, n: int) -> int:
+    """f^(*j)(n), filling f^(*2) .. f^(*j) at every divisor of n bottom-up,
+    so that no evaluation waits on more than one lower power (a recursive
+    chain would be j calls deep)."""
+    lower = f
+    for k in range(2, j + 1):
+        power = f._powers[k]
+        for d in divisors(n):
+            if d not in power._cache:
+                power._cache[d] = sum(f(a) * lower(d // a) for a in divisors(d))
+        lower = power
+    return lower._cache[n]
 
 
 E = ArithmeticFunction(lambda n: 1 if n == 1 else 0, name="e")
@@ -172,6 +205,26 @@ ONE = ArithmeticFunction(lambda n: 1, name="1")
 MU = ArithmeticFunction(mobius, name="mu")
 ONE_MINUS_E = ArithmeticFunction(lambda n: 0 if n == 1 else 1, name="(1-e)")
 E_MINUS_MU = ArithmeticFunction(lambda n: -modified_mobius(n), name="(e-mu)")
+
+
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def _d(k: int, signature: tuple[int, ...]) -> int:
+    """Generalised d_k on a prime signature, for any integer k.
+
+    Each exponent e contributes C(e + k - 1, e) read as a polynomial in k:
+    the ordinary binomial for k > 0 and (-1)**e C(-k, e) for k <= 0, so
+    d_0 = e and d_{-1} = mu.
+    """
+    out = 1
+    for e in signature:
+        out *= comb(e + k - 1, e) if k > 0 else (-1) ** e * comb(-k, e)
+    return out
+
+
+def _binomial_d_sum(j: int, shift: int, signature: tuple[int, ...]) -> int:
+    """sum over i <= j of (-1)**i C(j, i) d_{shift - i}: the expansion of
+    (1 - e)^(*j) * 1^(*(shift - j)), since e = d_0 and 1 = d_1."""
+    return sum((-1) ** i * comb(j, i) * _d(shift - i, signature) for i in range(j + 1))
 
 
 def classical_divisor(j: int, n: int) -> int:
@@ -183,13 +236,7 @@ def classical_divisor(j: int, n: int) -> int:
     """
     if j < 0:
         raise ValueError("classical_divisor needs j >= 0")
-    pf = factorise(n)
-    if j == 0:
-        return 1 if n == 1 else 0
-    result = 1
-    for _, e in pf.factors:
-        result *= comb(e + j - 1, e)
-    return result
+    return _d(j, factorise(n).signature)
 
 
 def nontrivial_divisor(j: int, n: int) -> int:
@@ -200,27 +247,7 @@ def nontrivial_divisor(j: int, n: int) -> int:
     """
     if j < 0:
         raise ValueError("nontrivial_divisor needs j >= 0")
-    _check_positive(n)
-    return sum(
-        (-1) ** i * comb(j, i) * classical_divisor(j - i, n) for i in range(j + 1)
-    )
-
-
-_assoc_cache: dict[tuple[int, int], ArithmeticFunction] = {}
-
-
-def _associated_fn(j: int, r: int) -> ArithmeticFunction:
-    fn = _assoc_cache.get((j, r))
-    if fn is None:
-        base = convolution_power(ONE_MINUS_E, j)
-        if r >= 0:
-            fn = convolve(base, convolution_power(ONE, r))
-        else:
-            # negative upper index: convolve with mu^(*|r|) explicitly
-            fn = convolve(base, convolution_power(MU, -r))
-        fn.name = f"c_{j}^({r})"
-        _assoc_cache[(j, r)] = fn
-    return fn
+    return associated_divisor(j, 0, n)
 
 
 def associated_divisor(j: int, r: int, n: int) -> int:
@@ -228,11 +255,15 @@ def associated_divisor(j: int, r: int, n: int) -> int:
     for negative r.
 
     For r >= 0 this counts ordered factorisations of n into j + r factors
-    of which the first j are >= 2.
+    of which the first j are >= 2.  Vanishes when j > Omega(n), for every
+    r, since (1-e)^(*j) is zero on every divisor of n.
     """
     if j < 0:
         raise ValueError("associated_divisor needs j >= 0")
-    return _associated_fn(j, r)(n)
+    pf = factorise(n)
+    if j > pf.big_omega:
+        return 0
+    return _binomial_d_sum(j, j + r, pf.signature)
 
 
 def squarefree_ordered_count(length: int, n: int) -> int:
@@ -243,4 +274,14 @@ def squarefree_ordered_count(length: int, n: int) -> int:
     """
     if length < 0:
         raise ValueError("squarefree_ordered_count needs length >= 0")
-    return convolution_power(E_MINUS_MU, length)(n)
+    pf = factorise(n)
+    if length > pf.big_omega:
+        return 0
+    return signature_squarefree_count(length, pf.signature)
+
+
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def signature_squarefree_count(length: int, signature: tuple[int, ...]) -> int:
+    """squarefree_ordered_count on a prime signature:
+    (e - mu)^(*length) = sum over i of (-1)**i C(length, i) d_{-i}."""
+    return _binomial_d_sum(length, 0, signature)

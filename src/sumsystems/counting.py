@@ -10,17 +10,19 @@ forms are measured against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
 from .arith import (
+    _SIGNATURE_CACHE,
     big_omega,
     divisors,
-    mobius,
+    factorise,
     nontrivial_divisor,
-    squarefree_ordered_count,
+    signature_squarefree_count,
 )
 from .jof import DEFAULT_CAP, enumerate_jofs, ordered_factorisations
 
@@ -54,15 +56,18 @@ class CountResult:
     method: str  # "closed-form", "brute-force" or "divisor-recurrence"
 
 
-@lru_cache(maxsize=None)
-def _n_m(n: int, m: int) -> int:
-    """Number of m-part sum systems for n (ordered part tuples)."""
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def _n_m(signature: tuple[int, ...], m: int) -> int:
+    """Number of m-part sum systems (ordered part tuples) for any n with
+    this prime signature."""
     if m == 0:
-        return 1 if n == 1 else 0
-    fact = factorial(m)
-    return sum(
-        fact * stirling2(length, m) * squarefree_ordered_count(length, n)
-        for length in range(m, big_omega(n) + 1)
+        return 1 if not signature else 0
+    omega = sum(signature)
+    if m > omega:
+        return 0
+    return factorial(m) * sum(
+        stirling2(length, m) * signature_squarefree_count(length, signature)
+        for length in range(m, omega + 1)
     )
 
 
@@ -76,7 +81,7 @@ def count_m_part(n: int, m: int) -> CountResult:
         raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
-    return CountResult(_n_m(n, m), "closed-form")
+    return CountResult(_n_m(factorise(n).signature, m), "closed-form")
 
 
 def count_two_part(n: int) -> CountResult:
@@ -114,14 +119,16 @@ def count_by_recurrence(n: int, m: int) -> CountResult:
     return CountResult(_n_m_recurrence(n, m), "divisor-recurrence")
 
 
-def _m_m(n: int, m: int) -> int:
+def _m_m(signature: tuple[int, ...], m: int) -> int:
     """Unordered count: the ordered count divided by m! (always divides)."""
-    ordered = _n_m(n, m)
+    ordered = _n_m(signature, m)
+    if not ordered:
+        return 0
     q, r = divmod(ordered, factorial(m))
     if r:
         raise RuntimeError(
-            f"ordered count {ordered} for n={n}, m={m} is not divisible by {m}!;"
-            " this indicates a bug"
+            f"ordered count {ordered} for signature {signature}, m={m} is not"
+            f" divisible by {m}!; this indicates a bug"
         )
     return q
 
@@ -132,7 +139,7 @@ def count_unordered(n: int, m: int) -> CountResult:
         raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
-    return CountResult(_m_m(n, m), "closed-form")
+    return CountResult(_m_m(factorise(n).signature, m), "closed-form")
 
 
 @dataclass(frozen=True)
@@ -174,27 +181,51 @@ class DivisorSumReport:
         }
 
 
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def _proper_divisor_classes(
+    signature: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """(signature of d, mu(n/d), number of such d) over the proper divisors d
+    of any n with this signature.
+
+    Grown one prime at a time: d takes a of the prime's e copies and n/d
+    the other e - a, so no divisor is formed or factorised.
+    """
+    classes: Counter = Counter({((), 1): 1})
+    for e in signature:
+        grown: Counter = Counter()
+        for (sub, mu), count in classes.items():
+            for a in range(e + 1):
+                key = tuple(sorted(sub + (a,), reverse=True)) if a else sub
+                grown[key, (mu, -mu, 0)[min(e - a, 2)]] += count
+        classes = grown
+    classes[signature, 1] -= 1  # d = n is not a proper divisor
+    return tuple((sub, mu, count) for (sub, mu), count in classes.items() if count)
+
+
 def divisor_sum_check(n: int, m: int) -> DivisorSumReport:
-    """Evaluate all four divisor-sum identities at (n, m) exactly."""
+    """Evaluate all four divisor-sum identities at (n, m) exactly.
+
+    The sums over proper divisors d run over the classes of d by (signature
+    of d, mu(n/d)), taken from n's own exponents: the counts depend only on
+    the signature, so each class is summed once, weighted by its size, and
+    no divisor is factorised.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
-    proper = divisors(n)[:-1]
-    ordered = _n_m(n, m)
-    unordered = _m_m(n, m)
-    ordered_plain = ordered - sum(
-        (m - 1) * _n_m(d, m) + m * _n_m(d, m - 1) for d in proper
-    )
-    ordered_mobius = ordered + m * sum(
-        mobius(n // d) * (_n_m(d, m) + _n_m(d, m - 1)) for d in proper
-    )
-    unordered_plain = unordered - sum(
-        (m - 1) * _m_m(d, m) + _m_m(d, m - 1) for d in proper
-    )
-    unordered_mobius = unordered + sum(
-        mobius(n // d) * (m * _m_m(d, m) + _m_m(d, m - 1)) for d in proper
-    )
+    pf = factorise(n)
+    ordered, unordered = _n_m(pf.signature, m), _m_m(pf.signature, m)
+    ordered_plain, ordered_mobius = ordered, ordered
+    unordered_plain, unordered_mobius = unordered, unordered
+    for signature, mu, count in _proper_divisor_classes(pf.signature):
+        o_m, o_less = _n_m(signature, m), _n_m(signature, m - 1)
+        u_m, u_less = _m_m(signature, m), _m_m(signature, m - 1)
+        ordered_plain -= count * ((m - 1) * o_m + m * o_less)
+        ordered_mobius += count * mu * m * (o_m + o_less)
+        unordered_plain -= count * ((m - 1) * u_m + u_less)
+        unordered_mobius += count * mu * (m * u_m + u_less)
     return DivisorSumReport(
         n, m, ordered_plain, ordered_mobius, unordered_plain, unordered_mobius
     )

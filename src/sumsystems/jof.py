@@ -10,10 +10,9 @@ here is the brute-force oracle the closed-form counts are checked against.
 from __future__ import annotations
 
 import json
-from itertools import product as _cartesian
-from math import factorial
+from math import comb
 
-from .arith import big_omega, nontrivial_divisors, squarefree_ordered_count
+from .arith import factorise, nontrivial_divisors, signature_squarefree_count
 
 Entry = tuple[int, int]
 Jof = tuple[Entry, ...]
@@ -184,34 +183,32 @@ def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _multinomial(parts: tuple[int, ...]) -> int:
-    total = factorial(sum(parts))
-    for p in parts:
-        total //= factorial(p)
-    return total
-
-
 def count_for_tuple(parts) -> int:
     """Number of JOFs of a fixed target tuple, by closed form.
 
-    Sums, over all choices of how many factors each part contributes, the
-    multinomial coefficient for interleaving those contributions times the
-    signed square-free counts of the individual parts.  The multinomial
-    weight matters: without it (2, 6) would count 1 instead of the correct 4.
+    Part j contributes the series s_j(l) = signed square-free counts of n_j
+    into l factors; interleaving the parts' factors is the labelled (EGF)
+    product of these series, kept here in integers as the binomial
+    convolution acc'(L) = sum over a of C(L, a) acc(a) s_j(L - a).  The
+    count is the sum of the product's coefficients.  The binomial weight
+    matters: without it (2, 6) would count 1 instead of the correct 4.
     """
     parts = _check_parts(parts)
-    omegas = [big_omega(n) for n in parts]
-    total = 0
-    for ell in _cartesian(*(range(1, o + 1) for o in omegas)):
-        term = _multinomial(ell)
-        for length, n in zip(ell, parts):
-            s = squarefree_ordered_count(length, n)
-            if s == 0:
-                term = 0
-                break
-            term *= s
-        total += term
-    return total
+    acc = [1]
+    for n in parts:
+        pf = factorise(n)
+        series = [
+            signature_squarefree_count(length, pf.signature)
+            for length in range(pf.big_omega + 1)
+        ]
+        step = [0] * (len(acc) + len(series) - 1)
+        for a, x in enumerate(acc):
+            if x:
+                for length, s in enumerate(series):
+                    if s:
+                        step[a + length] += comb(a + length, a) * x * s
+        acc = step
+    return sum(acc)
 
 
 def parse_jof_text(text: str) -> Jof:

@@ -9,7 +9,8 @@ the tests were produced by these functions.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
 
 def naive_omega(n: int) -> int:
@@ -100,6 +101,41 @@ def signed_squarefree_count(n: int, length: int) -> int:
 
     sign = -1 if (naive_omega(n) + length) % 2 else 1
     return sign * count(n, length)
+
+
+def cartesian_tuple_count(parts) -> int:
+    """JOFs of a fixed tuple by the sum over every vector of factor counts.
+
+    Part j gives l_j square-free factors, 1 <= l_j <= Omega(n_j); each
+    vector weighs the multinomial number of interleavings times the signed
+    square-free counts of the parts.  Cost: the product of the Omegas.
+    """
+    series = [
+        {length: signed_squarefree_count(n, length) for length in range(1, naive_omega(n) + 1)}
+        for n in parts
+    ]
+    total = 0
+    for lengths in product(*(range(1, naive_omega(n) + 1) for n in parts)):
+        weight = factorial(sum(lengths))
+        for length in lengths:
+            weight //= factorial(length)
+        total += weight * prod(s[length] for s, length in zip(series, lengths))
+    return total
+
+
+def generalised_d(k: int, n: int) -> int:
+    """d_k(n) for any integer k: the product over p^e || n of the binomial
+    C(e + k - 1, e) read as the polynomial k (k + 1) ... (k + e - 1) / e!."""
+    out = 1
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out *= prod(k + i for i in range(e)) // factorial(e)
+        d += 1
+    return out * k if n > 1 else out
 
 
 def naive_stirling2(total: int, blocks: int) -> int:

@@ -28,6 +28,7 @@ from sumsystems.arith import (
 from oracles import (
     count_first_block_nontrivial,
     count_tuples,
+    generalised_d,
     naive_convolve,
     naive_mobius,
     naive_mobius_power,
@@ -143,6 +144,10 @@ class TestConvolution:
         for n in range(1, 100):
             assert p(n) == threefold(n)
 
+    def test_deep_power_does_not_recurse(self):
+        assert convolution_power(ONE, 3000)(12) == classical_divisor(3000, 12)
+        assert convolution_power(MU, 2500)(12) == generalised_d(-2500, 12)
+
     def test_memoisation_calls_rule_once(self):
         calls = []
         f = ArithmeticFunction(lambda n: calls.append(n) or 1)
@@ -180,6 +185,11 @@ class TestClassicalDivisor:
             j = rng.randrange(0, 6)
             assert classical_divisor(j, n) == convolution_power(ONE, j)(n)
 
+    def test_generalised_binomial_for_any_j(self):
+        for n in (1, 12, 360, 2**62, 897612484786617600):
+            for j in (0, 1, 5, 3000, 10**18):
+                assert classical_divisor(j, n) == generalised_d(j, n)
+
     def test_multiplicative(self):
         rng = random.Random(23)
         hits = 0
@@ -216,6 +226,7 @@ class TestNontrivialDivisor:
             top = big_omega(n)
             assert nontrivial_divisor(top + 1, n) == 0
             assert nontrivial_divisor(top + 3, n) == 0
+        assert nontrivial_divisor(20000, 12) == 0
 
     def test_proper_divisor_recurrence(self):
         # c_{j+1}(n) equals the sum of c_j over proper divisors of n
@@ -274,6 +285,34 @@ class TestAssociatedDivisor:
             )
             assert associated_divisor(j, r, n) == expected
 
+    def test_matches_convolution_route(self):
+        # the convolution algebra is the reference for the binomial d_k sums
+        for j in range(0, 5):
+            for r in range(-5, 6):
+                reference = convolve(
+                    convolution_power(ONE_MINUS_E, j),
+                    convolution_power(ONE if r >= 0 else MU, abs(r)),
+                )
+                for n in range(1, 400):
+                    assert associated_divisor(j, r, n) == reference(n), (j, r, n)
+
+    def test_vanishes_above_omega_for_every_r(self):
+        for n in (1, 2, 12, 360, 2**40):
+            top = big_omega(n)
+            for j in (top + 1, top + 2, 3000):
+                for r in (-3000, -7, -1, 0, 1, 7, 3000):
+                    assert associated_divisor(j, r, n) == 0
+
+    def test_deep_r_is_the_generalised_d_sum(self):
+        for n in (12, 360, 97 * 2**5):
+            for j in range(0, 4):
+                for r in (-5000, -3000, 3000, 5000):
+                    expected = sum(
+                        (-1) ** i * comb(j, i) * generalised_d(j - i + r, n)
+                        for i in range(j + 1)
+                    )
+                    assert associated_divisor(j, r, n) == expected
+
     def test_three_term_recurrence_grid(self):
         for n in (1, 2, 12, 30, 72, 97, 180, 500):
             for k in range(0, 5):
@@ -297,6 +336,16 @@ class TestSquarefreeOrderedCount:
                 assert squarefree_ordered_count(length, n) == signed_squarefree_count(
                     n, length
                 )
+
+    def test_matches_convolution_power(self):
+        for n in range(1, 400):
+            for length in range(0, big_omega(n) + 2):
+                expected = convolution_power(E_MINUS_MU, length)(n)
+                assert squarefree_ordered_count(length, n) == expected, (length, n)
+
+    def test_zero_above_omega_at_any_length(self):
+        assert squarefree_ordered_count(3000, 12) == 0
+        assert squarefree_ordered_count(10**18, 2**62) == 0
 
     def test_matches_negative_diagonal(self):
         # (e - mu)^(*L) coincides with the L-th function of upper index -L

@@ -1,13 +1,18 @@
 """Command-line behaviour: documents, formats, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from sumsystems.cli import run
+
+from oracles import generalised_d
 
 WORKED = "1:3,3:3,1:3,3:2,2:5"
 
@@ -250,6 +255,41 @@ class TestDivisorFn:
     def test_domain_errors(self, capsys):
         assert invoke(capsys, "divisor-fn", "--kind", "d", "--j", "-1", "--n", "12")[0] == 2
         assert invoke(capsys, "divisor-fn", "--kind", "d", "--j", "2", "--n", "0")[0] == 2
+
+
+def _deep_r_value(j, r, n):
+    return sum((-1) ** i * comb(j, i) * generalised_d(j - i + r, n) for i in range(j + 1))
+
+
+class TestDeepIndices:
+    """Indices far past Omega(n) finish at once in a fresh interpreter,
+    with no traceback: their cost must not grow with --j, --r or --m."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["divisor-fn", "--kind", "assoc", "--j", "3000", "--n", "12"], 0),
+            (["divisor-fn", "--kind", "assoc", "--j", "1", "--r", "-3000", "--n", "12"],
+             _deep_r_value(1, -3000, 12)),
+            (["divisor-fn", "--kind", "assoc", "--j", "1", "--r", "3000", "--n", "12"],
+             _deep_r_value(1, 3000, 12)),
+            (["divisor-fn", "--kind", "c", "--j", "20000", "--n", "12"], 0),
+            (["divisor-fn", "--kind", "sqfree", "--j", "3000", "--n", "12"], 0),
+            (["count", "--n", "12", "--m", "300000"], 0),
+        ],
+        ids=["assoc-deep-j", "assoc-deep-negative-r", "assoc-deep-r", "c-deep-j",
+             "sqfree-deep-j", "count-huge-m"],
+    )
+    def test_subprocess(self, argv, expected):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumsystems.cli", *argv, "--format", "plain"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{expected}\n"
 
 
 class TestCheck:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sumsystems.arith import classical_divisor, nontrivial_divisor
+from sumsystems.arith import big_omega, classical_divisor, divisors, mobius, nontrivial_divisor
 from sumsystems.counting import (
     CountResult,
     binomial_inversion,
@@ -77,6 +77,16 @@ class TestCountMPart:
             m = rng.randrange(1, 5)
             assert count_m_part(n, m).value == brute_force_count(n, m).value
 
+    def test_frozen_large_divisor_count(self):
+        n = 897612484786617600  # d(n) = 103680
+        assert count_m_part(n, 2).value == 4145678400277068623870
+        assert count_two_part(n).value == 4145678400277068623870
+
+    def test_zero_above_omega_at_any_m(self):
+        assert count_m_part(12, 300000).value == 0
+        assert count_unordered(12, 300000).value == 0
+        assert count_m_part(2**62, 10**18).value == 0
+
     def test_errors(self):
         with pytest.raises(ValueError):
             count_m_part(0, 1)
@@ -129,6 +139,30 @@ class TestDivisorSumIdentities:
             for m in range(1, 5):
                 report = divisor_sum_check(n, m)
                 assert report.ok, (n, m, report)
+
+    def test_matches_divisor_list_evaluation(self):
+        # reference: every proper divisor listed, its counts and mu(n/d)
+        # each evaluated from a factorisation of its own
+        for n in range(1, 2001):
+            proper = divisors(n)[:-1]
+            for m in range(1, big_omega(n) + 2):
+                o = {d: (count_m_part(d, m).value, count_m_part(d, m - 1).value) for d in proper}
+                u = {d: (count_unordered(d, m).value, count_unordered(d, m - 1).value)
+                     for d in proper}
+                ordered, unordered = count_m_part(n, m).value, count_unordered(n, m).value
+                expected = (
+                    ordered - sum((m - 1) * o[d][0] + m * o[d][1] for d in proper),
+                    ordered + m * sum(mobius(n // d) * (o[d][0] + o[d][1]) for d in proper),
+                    unordered - sum((m - 1) * u[d][0] + u[d][1] for d in proper),
+                    unordered + sum(mobius(n // d) * (m * u[d][0] + u[d][1]) for d in proper),
+                )
+                report = divisor_sum_check(n, m)
+                assert (
+                    report.ordered_plain,
+                    report.ordered_mobius,
+                    report.unordered_plain,
+                    report.unordered_mobius,
+                ) == expected, (n, m)
 
     def test_report_shape(self):
         report = divisor_sum_check(12, 2)

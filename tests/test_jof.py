@@ -18,6 +18,8 @@ from sumsystems.jof import (
     validate,
 )
 
+from oracles import cartesian_tuple_count
+
 WORKED_JOF = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
 
 
@@ -173,6 +175,17 @@ class TestCountForTuple:
             m = rng.randrange(1, 4)
             parts = tuple(rng.randrange(2, 13) for _ in range(m))
             assert count_for_tuple(parts) == len(enumerate_jofs(parts))
+
+    def test_matches_cartesian_sum(self):
+        # reference: one term per vector of factor counts, prod Omega(n_j) of them
+        rng = random.Random(67)
+        for _ in range(300):
+            parts = tuple(rng.randrange(2, 257) for _ in range(rng.randrange(1, 6)))
+            assert count_for_tuple(parts) == cartesian_tuple_count(parts), parts
+
+    def test_frozen_large(self):
+        # 8**6 vectors on the cartesian route; the EGF product takes six steps
+        assert count_for_tuple((256,) * 6) == 2889253496242619386328267523990000
 
     def test_invariant_under_permutation(self):
         rng = random.Random(59)
