@@ -4,12 +4,14 @@ Subcommands: count, enumerate, build, verify, table, divisor-fn, check.
 Results go to stdout as a single JSON document (CSV for table, bare values
 with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
+`enumerate` writes its document as it goes rather than building it whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import arith, counting, jof, systems
@@ -81,16 +83,41 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# The enumerate document is json.dumps(doc, indent=2) of {"tuple", "count",
+# "jofs", "text"}, written here piece by piece in the same bytes: the
+# indented encoder is pure Python and holds the whole document at once.
+# No list is ever empty (1:n_1,...,m:n_m is a JOF of every tuple), so no
+# "[]" case arises.
+_PAIR = "\n      [\n        %d,\n        %d\n      ]"
+_CHUNK = 256  # JOFs per write, about 90 KB of JSON
+
+
+def _write_blocks(write, found, block, sep: str) -> None:
+    """Write block(j) for every JOF, joined by sep, a chunk at a time."""
+    lead = ""
+    for start in range(0, len(found), _CHUNK):
+        write(lead + sep.join(map(block, found[start:start + _CHUNK])))
+        lead = sep
+
+
 def _cmd_enumerate(args) -> int:
     parts = _parse_tuple(args.tuple)
+    if args.limit < 0:
+        print("error: --limit must be non-negative", file=sys.stderr)
+        return 2
     found = jof.enumerate_jofs(parts, cap=args.limit)
-    doc = {
-        "tuple": list(parts),
-        "count": len(found),
-        "jofs": [jof.jof_to_pairs(j) for j in found],
-        "text": [jof.jof_to_text(j) for j in found],
-    }
-    _emit(doc, args.format, [jof.jof_to_text(j) for j in found])
+    write = sys.stdout.write
+    text = jof.jof_to_text
+    if args.format == "plain":
+        _write_blocks(write, found, lambda j: text(j) + "\n", "")
+        return 0
+    pair = _PAIR.__mod__
+    write('{\n  "tuple": [\n%s\n  ],\n  "count": %d,\n  "jofs": [\n'
+          % (",\n".join(f"    {n}" for n in parts), len(found)))
+    _write_blocks(write, found, lambda j: "    [" + ",".join(map(pair, j)) + "\n    ]", ",\n")
+    write('\n  ],\n  "text": [\n')
+    _write_blocks(write, found, lambda j: '    "' + text(j) + '"', ",\n")
+    write("\n  ]\n}\n")
     return 0
 
 
@@ -113,7 +140,7 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         ok, reason = False, f"not valid JSON: {exc}"
         system = None
     else:
@@ -265,7 +292,17 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): the output stops there,
+        # with exit 0 whatever the command, as a write may fail before or
+        # after the command's own code is known.  stdout goes to devnull so
+        # the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by the tests.
 
 Apart from all_jofs_up_to, a walk over the package's own JOF enumeration
-that feeds the system tests, nothing here imports from the package:
+that feeds the system tests, and oracle_document, which lays that
+enumeration out as the CLI's document, nothing here imports from the package:
 factorisation is naive trial division, convolution scans 1..n, and the
 counting oracles enumerate tuples outright.  Frozen expected values in
 the tests were produced by these functions.
@@ -156,6 +157,23 @@ def all_jofs_up_to(limit):
         for m in range(1, 8):
             for parts in ordered_factorisations(n, m):
                 yield from enumerate_jofs(parts)
+
+
+def oracle_document(parts) -> dict:
+    """The `sumsys enumerate` document, built whole as the CLI once did.
+
+    The CLI now writes json.dumps(oracle_document(parts), indent=2) piece by
+    piece; its plain format is the "text" list, one JOF per line.
+    """
+    from sumsystems.jof import enumerate_jofs, jof_to_pairs, jof_to_text
+
+    found = enumerate_jofs(parts)
+    return {
+        "tuple": list(parts),
+        "count": len(found),
+        "jofs": [jof_to_pairs(j) for j in found],
+        "text": [jof_to_text(j) for j in found],
+    }
 
 
 def brute_minkowski(parts) -> list[int]:

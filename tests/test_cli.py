@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -12,15 +14,25 @@ import pytest
 
 from sumsystems.cli import run
 
-from oracles import generalised_d
+from oracles import generalised_d, oracle_document
 
 WORKED = "1:3,3:3,1:3,3:2,2:5"
+BIG_TUPLE = "2,49,3,35,98"  # 63,000 JOFs, 22.9 MB of JSON
+SUMSYS = [sys.executable, "-m", "sumsystems.cli"]
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment for running `python -m sumsystems.cli` on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 class TestCount:
@@ -92,6 +104,60 @@ class TestEnumerate:
         first = invoke(capsys, "enumerate", "--tuple", "9,5,6")
         second = invoke(capsys, "enumerate", "--tuple", "9,5,6")
         assert first == second
+
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "enumerate", "--tuple", "12", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
+
+
+def _seeded_tuples():
+    rng = random.Random(73)
+    for _ in range(200):
+        yield tuple(rng.randrange(2, 31) for _ in range(rng.randrange(1, 4)))
+
+
+STREAM_CASES = [*_seeded_tuples(), (12,), (2, 6), (8, 12, 16)]  # the last: 10,080 JOFs
+
+
+class TestEnumerateStream:
+    """The streamed document is byte for byte the one the CLI used to build
+    whole and dump with indent=2; the plain format its "text" lines."""
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_bytes_match_the_whole_document(self, capsys, fmt):
+        for parts in STREAM_CASES:
+            doc = oracle_document(parts)
+            expected = (json.dumps(doc, indent=2) + "\n" if fmt == "json"
+                        else "".join(line + "\n" for line in doc["text"]))
+            code, out, err = invoke(capsys, "enumerate", "--tuple",
+                                    ",".join(map(str, parts)), "--format", fmt)
+            assert (code, err) == (0, ""), parts
+            assert out == expected, parts
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_cap_below_the_count_writes_nothing(self, capsys, fmt):
+        code, out, err = invoke(capsys, "enumerate", "--tuple", "8,12,16",
+                                "--limit", "10079", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == "error: enumeration exceeds the cap of 10079 results\n"
+
+    def test_memory_follows_the_jofs_not_the_document(self, monkeypatch):
+        # Building the document whole peaked at 219 MiB of traced memory on
+        # this tuple (115 MiB on Python 3.13); streaming peaks at about
+        # 17 MiB on 3.11 to 3.13, the JOF tuples themselves.
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = run(["enumerate", "--tuple", BIG_TUPLE])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 40 * 2**20
 
 
 class TestBuild:
@@ -184,6 +250,18 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--file", str(path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    def test_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        verdict = json.loads(proc.stdout)
+        assert verdict["ok"] is False
+        assert verdict["reason"].startswith("not valid JSON: ")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", "--file", str(tmp_path / "nope.json"))
@@ -281,12 +359,9 @@ class TestDeepIndices:
              "sqfree-deep-j", "count-huge-m"],
     )
     def test_subprocess(self, argv, expected):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-m", "sumsystems.cli", *argv, "--format", "plain"],
-            capture_output=True, text=True, env=env, timeout=60,
+            [*SUMSYS, *argv, "--format", "plain"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{expected}\n"
@@ -322,6 +397,41 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_reader_stops_early(self, fmt):
+        # `sumsys enumerate ... | head -1`: exit 0 and no traceback
+        proc = subprocess.Popen(
+            [*SUMSYS, "enumerate", "--tuple", BIG_TUPLE, "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert first == (b"{\n" if fmt == "json" else b"1:2,2:7,3:3,2:7,4:5,5:2,4:7,5:49\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--tuple", BIG_TUPLE],
+        ["count", "--n", "12", "--m", "2"],
+        ["verify", "--file", "garbage.json"],
+    ])
+    def test_stdout_already_closed(self, tmp_path, argv):
+        # the write fails mid-stream or, with buffered stdout, at the final
+        # flush; either way exit 0, even for a verdict of 1 no one can read
+        (tmp_path / "garbage.json").write_text("not json")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([*SUMSYS, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=subprocess_env(),
+                                  cwd=tmp_path, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("sumsys")
