@@ -90,8 +90,15 @@ def infer_parts(jof) -> tuple[int, ...]:
     """Target tuple of a JOF, validating it along the way.
 
     The number of parts is the largest part index named; every part up to it
-    must appear.  Raises ValueError on anything malformed.  Single pass: the
-    builders call this once per JOF, so it has to stay lean.
+    must appear.  Raises ValueError on anything malformed.
+    """
+    return _checked_jof(jof)[1]
+
+
+def _checked_jof(jof) -> tuple[Jof, tuple[int, ...]]:
+    """The JOF as tuples and its target tuple, as infer_parts checks them.
+
+    Single pass: the builders call this once per JOF, so it has to stay lean.
     """
     try:
         jof = tuple(map(tuple, jof))
@@ -120,7 +127,7 @@ def infer_parts(jof) -> tuple[int, ...]:
     for j, product in enumerate(products, start=1):
         if product == 1:
             raise ValueError(f"part {j} never appears (parts run 1..{len(products)})")
-    return tuple(products)
+    return jof, tuple(products)
 
 
 def partial_products(jof) -> tuple[int, ...]:
@@ -222,7 +229,8 @@ def parse_jof_text(text: str) -> Jof:
     if text.startswith("["):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays nested too deep for the decoder
             raise ValueError(f"bad JOF JSON: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError("JOF JSON must be an array of [part, factor] pairs")

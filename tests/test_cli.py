@@ -193,6 +193,15 @@ class TestBuild:
         assert invoke(capsys, "build", "--jof", "1:2,1:2")[0] == 2
         assert invoke(capsys, "build", "--jof", "nonsense")[0] == 2
 
+    def test_jof_too_deep_to_parse(self):
+        proc = subprocess.run([*SUMSYS, "build", "--jof", "[" * 100_000],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "bad JOF JSON: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def build_to_file(self, capsys, tmp_path, *flags):

@@ -121,6 +121,21 @@ class TestAgainstSetFold:
         assert verdicts[True] > 0 and verdicts[False] > 0
 
     @pytest.mark.parametrize(
+        "comps, reason",
+        [
+            (((-2, 0, 1),), "component 1 is not symmetric about 0"),
+            (((-3, -1, 1, 3), (-2, 0, 1)), "component 2 is not symmetric about 0"),
+            (((-2, 0, 2), (-3, 0, 3)), "component 2 mixes parities"),
+            (((-1, 1), (-3, -2, 2, 3)), "component 2 mixes parities"),
+        ],
+    )
+    def test_unvalidated_centred_components(self, comps, reason):
+        # the builders and centre skip the constructors' checks, so the
+        # verifier must still catch what those checks would have refused
+        assert verify_centred(CentredSumSystem._trusted(comps)) == (False, reason)
+        assert set_fold_verify(comps, centred=True) == (False, reason)
+
+    @pytest.mark.parametrize(
         "exponents",
         [
             # sparse stages on sets, then dense ones on bitsets

@@ -261,3 +261,7 @@ class TestTextForms:
         for bad in ("", "1:banana", "1-3", "1:3,,2:2", "[[1]]", "[1, 2]", "[[0,2]]", "1:1"):
             with pytest.raises(ValueError):
                 parse_jof_text(bad)
+
+    def test_parse_too_deep(self):
+        with pytest.raises(ValueError, match="^bad JOF JSON: "):
+            parse_jof_text("[" * 100_000)

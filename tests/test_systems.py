@@ -71,9 +71,22 @@ class TestBuild:
         for jof in (JOF_A, JOF_B, ((1, 5),), ((1, 2), (2, 2), (1, 3))):
             assert centre(build_sum_system(jof)) == build_centred(jof)
 
+    def test_centre_rejects_non_palindromic(self):
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            centre(SumSystem(((0, 1, 3),)))
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            centre(SumSystem(((0, 1), (1, 2))))
+
     def test_round_trip_exhaustive_small(self):
+        # the builders and centre skip validation; the validating
+        # constructors must accept what they make, unchanged
         for jof in all_jofs_up_to(96):
-            assert centre(build_sum_system(jof)) == build_centred(jof)
+            s, c = build_sum_system(jof), build_centred(jof)
+            from_s = centre(s)
+            assert from_s == c
+            assert SumSystem(s.components) == s
+            assert CentredSumSystem(c.components) == c
+            assert CentredSumSystem(from_s.components) == from_s
 
     def test_rejects_invalid_jof(self):
         with pytest.raises(ValueError):
