@@ -19,12 +19,9 @@ from . import arith, counting, jof, systems
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(chunk) for chunk in text.split(","))
+        return tuple(int(chunk) for chunk in text.split(","))
     except ValueError:
         raise ValueError(f"bad tuple {text!r}, expected comma-separated integers")
-    if not parts or any(n < 2 for n in parts):
-        raise ValueError("tuple entries must be integers >= 2")
-    return parts
 
 
 def _emit(doc: dict, fmt: str, plain_lines) -> None:
@@ -133,10 +130,19 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _doc_int(text: str) -> int:
+    # run() lifts the 4300-digit int <-> str cap, but int(str) is quadratic in
+    # the digits before Python 3.12 (a 10^6-digit value takes 9 s), and no
+    # value of a system that fits in memory has 4300 digits
+    if len(text.lstrip("-")) > 4300:
+        raise ValueError("a document integer has more than 4300 digits")
+    return int(text)
+
+
 def _cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_doc_int)
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -275,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    # exact values of any size: Python 3.11+ caps int <-> str at 4300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,6 +5,14 @@ A JOF of a tuple (n_1, ..., n_m) of integers >= 2 is a sequence of
 name the same part and the factors carrying each part j multiply to n_j.
 Every JOF yields one sum system for N = n_1 ... n_m, and the enumeration
 here is the brute-force oracle the closed-form counts are checked against.
+
+One checker, _checked_jof, holds these rules for validate, infer_parts and
+the builders; parse_jof_text applies its per-entry shape checks only.  It
+reports the first fault it meets, in this order: a JOF that is not a
+sequence of sequences; no entries; then entry by entry, not a pair of
+integers, part < 1, factor < 2, a part beyond the target tuple (validate
+only), the same part as the entry before; then a part that never appears
+(infer_parts, the builders) or a product that misses the target (validate).
 """
 
 from __future__ import annotations
@@ -38,18 +46,17 @@ def _check_parts(parts) -> tuple[int, ...]:
     return parts
 
 
-def _entry_shape_error(jof) -> str | None:
-    for pos, entry in enumerate(jof, start=1):
-        if type(entry) is not tuple or len(entry) != 2:
-            return f"entry {pos} is not a (part, factor) pair of integers"
-        part, factor = entry
-        if type(part) is not int or type(factor) is not int:
-            return f"entry {pos} is not a (part, factor) pair of integers"
-        if part < 1:
-            return f"entry {pos} names part {part}; parts are numbered from 1"
-        if factor < 2:
-            return f"entry {pos} has factor {factor}; factors must be >= 2"
-    return None
+def _entry(pos: int, entry: tuple) -> Entry:
+    """Entry pos of a JOF, checked for shape: a pair of integers whose part
+    is at least 1 and whose factor is at least 2."""
+    if len(entry) != 2 or type(entry[0]) is not int or type(entry[1]) is not int:
+        raise ValueError(f"entry {pos} is not a (part, factor) pair of integers")
+    part, factor = entry
+    if part < 1:
+        raise ValueError(f"entry {pos} names part {part}; parts are numbered from 1")
+    if factor < 2:
+        raise ValueError(f"entry {pos} has factor {factor}; factors must be >= 2")
+    return entry
 
 
 def validate(jof, parts) -> tuple[bool, str | None]:
@@ -60,29 +67,13 @@ def validate(jof, parts) -> tuple[bool, str | None]:
     """
     try:
         parts = _check_parts(parts)
-        jof = tuple(tuple(entry) for entry in jof)
+        _, products = _checked_jof(jof, len(parts))
     except (TypeError, ValueError) as exc:
         return False, str(exc)
-    reason = _entry_shape_error(jof)
-    if reason is not None:
-        return False, reason
-    if not jof:
-        return False, "a JOF needs at least one entry"
-    m = len(parts)
-    for pos, (part, _) in enumerate(jof, start=1):
-        if part > m:
-            return False, f"entry {pos} names part {part}, but the tuple has {m} parts"
-    for pos in range(1, len(jof)):
-        if jof[pos][0] == jof[pos - 1][0]:
-            return False, f"entries {pos} and {pos + 1} name the same part {jof[pos][0]}"
-    products = [1] * m
-    for part, factor in jof:
-        products[part - 1] *= factor
-    for j in range(m):
-        if products[j] != parts[j]:
-            return False, (
-                f"part {j + 1} factors multiply to {products[j]}, expected {parts[j]}"
-            )
+    for j, n in enumerate(parts, start=1):
+        product = products.get(j, 1)  # no factor is 1, so 1 means absent
+        if product != n:
+            return False, f"part {j} factors multiply to {product}, expected {n}"
     return True, None
 
 
@@ -92,13 +83,18 @@ def infer_parts(jof) -> tuple[int, ...]:
     The number of parts is the largest part index named; every part up to it
     must appear.  Raises ValueError on anything malformed.
     """
-    return _checked_jof(jof)[1]
+    products = _checked_jof(jof)[1]
+    return tuple([products[j] for j in range(1, len(products) + 1)])
 
 
-def _checked_jof(jof) -> tuple[Jof, tuple[int, ...]]:
-    """The JOF as tuples and its target tuple, as infer_parts checks them.
+def _checked_jof(jof, m: int | None = None) -> tuple[Jof, dict[int, int]]:
+    """The JOF as tuples and the product of each part's factors, by part.
 
-    Single pass: the builders call this once per JOF, so it has to stay lean.
+    One pass, as the builders call it per JOF.  With m, the target's number
+    of parts, a part past m is a fault and an absent part is left to the
+    caller's comparison; without, the parts must be 1..len(products).
+    Products are kept by part, so memory follows the entries, not the
+    largest part named.
     """
     try:
         jof = tuple(map(tuple, jof))
@@ -106,28 +102,20 @@ def _checked_jof(jof) -> tuple[Jof, tuple[int, ...]]:
         raise ValueError("a JOF is a sequence of (part, factor) pairs") from None
     if not jof:
         raise ValueError("a JOF needs at least one entry")
-    products: list[int] = []
+    products: dict[int, int] = {}
     last = 0
     for pos, entry in enumerate(jof, start=1):
-        if len(entry) != 2:
-            raise ValueError(f"entry {pos} is not a (part, factor) pair of integers")
-        part, factor = entry
-        if type(part) is not int or type(factor) is not int:
-            raise ValueError(f"entry {pos} is not a (part, factor) pair of integers")
-        if part < 1:
-            raise ValueError(f"entry {pos} names part {part}; parts are numbered from 1")
-        if factor < 2:
-            raise ValueError(f"entry {pos} has factor {factor}; factors must be >= 2")
+        part, factor = _entry(pos, entry)
+        if m is not None and part > m:
+            raise ValueError(f"entry {pos} names part {part}, but the tuple has {m} parts")
         if part == last:
             raise ValueError(f"entries {pos - 1} and {pos} name the same part {part}")
-        while len(products) < part:
-            products.append(1)
-        products[part - 1] *= factor
+        products[part] = products.get(part, 1) * factor
         last = part
-    for j, product in enumerate(products, start=1):
-        if product == 1:
-            raise ValueError(f"part {j} never appears (parts run 1..{len(products)})")
-    return jof, tuple(products)
+    if m is None and max(products) > len(products):
+        missing = next(j for j in range(1, len(products) + 1) if j not in products)
+        raise ValueError(f"part {missing} never appears (parts run 1..{max(products)})")
+    return jof, products
 
 
 def partial_products(jof) -> tuple[int, ...]:
@@ -253,9 +241,8 @@ def parse_jof_text(text: str) -> Jof:
                     f"bad JOF entry {chunk.strip()!r}, expected part:factor"
                 ) from None
         jof = tuple(entries)
-    reason = _entry_shape_error(jof)
-    if reason is not None:
-        raise ValueError(reason)
+    for pos, entry in enumerate(jof, start=1):
+        _entry(pos, entry)
     return jof
 
 

@@ -8,11 +8,11 @@ as doubled integers (2a - max A_j), which keeps everything exact.
 
 Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
-F(l) * {0, ..., f_l - 1} to its part's component.  The builders and centre
-are trusted: their output is correct by construction, so they skip the
-checks of the public constructors (centre keeps one, since its input may be
-any valid SumSystem).  Verification still never trusts construction: it
-checks every component and performs the full Minkowski fold.
+F(l) * {0, ..., f_l - 1} to its part's component.  The builders, centre and
+to_sum_and_distance are trusted: their output is correct by construction, so
+they skip the checks of the public constructors (centre keeps one, since its
+input may be any valid SumSystem).  Verification still never trusts
+construction: it checks every component and performs the full Minkowski fold.
 
 Both verifiers share one fold over integers used as bitsets: component A
 becomes the bit-polynomial sum of 2^a over a in A, and the running product
@@ -39,10 +39,6 @@ from .jof import _checked_jof
 Verdict = tuple[bool, "str | None"]
 
 
-def _as_component_tuples(components) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(c) for c in components)
-
-
 def _check_sorted_strict(comp: tuple[int, ...]) -> None:
     if not comp:
         raise ValueError("components must be non-empty")
@@ -53,22 +49,29 @@ def _check_sorted_strict(comp: tuple[int, ...]) -> None:
         prev = v
 
 
+def _symmetric(comp: tuple[int, ...]) -> bool:
+    """Whether comp, ascending, is symmetric about 0: its own negated reverse."""
+    return comp == tuple(map(neg, reversed(comp)))
+
+
+class _Trusted:
+    @classmethod
+    def _trusted(cls, components, **fields):
+        """An instance with these fields, skipping __post_init__: only for
+        values (components as tuples of tuples) that the validating
+        constructor would accept unchanged."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "components", components)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+
 @dataclass(frozen=True)
-class _Components:
+class _Components(_Trusted):
     """Shared shape of the plain and centred systems: N and cardinalities."""
 
     components: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def _trusted(cls, comps: tuple[tuple[int, ...], ...]):
-        """An instance over comps without the checks of __post_init__.
-
-        Only for comps, tuples of tuples, that the validating constructor
-        would accept unchanged.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "components", comps)
-        return self
 
     @property
     def N(self) -> int:
@@ -84,7 +87,7 @@ class SumSystem(_Components):
     """Components of a (candidate) sum system, each sorted ascending."""
 
     def __post_init__(self) -> None:
-        comps = _as_component_tuples(self.components)
+        comps = tuple(map(tuple, self.components))
         if not comps:
             raise ValueError("a sum system needs at least one component")
         for comp in comps:
@@ -103,15 +106,13 @@ class CentredSumSystem(_Components):
     """
 
     def __post_init__(self) -> None:
-        comps = _as_component_tuples(self.components)
+        comps = tuple(map(tuple, self.components))
         if not comps:
             raise ValueError("a centred sum system needs at least one component")
         for comp in comps:
             _check_sorted_strict(comp)
-            k = len(comp)
-            for i in range(k // 2 + 1):
-                if comp[i] + comp[k - 1 - i] != 0:
-                    raise ValueError("centred components must be symmetric about 0")
+            if not _symmetric(comp):
+                raise ValueError("centred components must be symmetric about 0")
             parity = comp[0] & 1
             for v in comp:
                 if (v & 1) != parity:
@@ -127,7 +128,7 @@ class CentredSumSystem(_Components):
 
 
 @dataclass(frozen=True)
-class SumAndDistanceSystem:
+class SumAndDistanceSystem(_Trusted):
     """Positive halves of a centred system, doubled, with parity classes.
 
     Parts in even_parts have even cardinality in the originating system
@@ -141,7 +142,7 @@ class SumAndDistanceSystem:
     odd_parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        comps = _as_component_tuples(self.components)
+        comps = tuple(map(tuple, self.components))
         for comp in comps:
             _check_sorted_strict(comp)
             if comp[0] <= 0:
@@ -163,8 +164,8 @@ def build_sum_system(jof) -> SumSystem:
     """Sum system of a JOF: part j collects F(l) * {0..f_l - 1} over its
     entries, Minkowski-added.  Components come out sorted.
     """
-    jof, parts = _checked_jof(jof)
-    comps: list[list[int]] = [[0] for _ in parts]
+    jof, products = _checked_jof(jof)
+    comps: list[list[int]] = [[0] for _ in products]
     partial = 1
     for part, factor in jof:
         base = comps[part - 1]
@@ -182,8 +183,8 @@ def build_centred(jof) -> CentredSumSystem:
     Entry l contributes F(l) * (2k - (f_l - 1)) for k in 0..f_l - 1, the
     doubled centred progression.
     """
-    jof, parts = _checked_jof(jof)
-    comps: list[list[int]] = [[0] for _ in parts]
+    jof, products = _checked_jof(jof)
+    comps: list[list[int]] = [[0] for _ in products]
     partial = 1
     for part, factor in jof:
         base = comps[part - 1]
@@ -205,7 +206,7 @@ def centre(system: SumSystem) -> CentredSumSystem:
     for comp in system.components:
         top = comp[-1]
         doubled = tuple([2 * a - top for a in comp])
-        if doubled != tuple(map(neg, reversed(doubled))):
+        if not _symmetric(doubled):
             raise ValueError("centred components must be symmetric about 0")
         comps.append(doubled)
     return CentredSumSystem._trusted(tuple(comps))
@@ -225,11 +226,8 @@ def to_sum_and_distance(centred: CentredSumSystem) -> SumAndDistanceSystem:
             even_parts.append(j)
         else:
             odd_parts.append(j)
-    return SumAndDistanceSystem(
-        N=centred.N,
-        components=tuple(comps),
-        even_parts=tuple(even_parts),
-        odd_parts=tuple(odd_parts),
+    return SumAndDistanceSystem._trusted(
+        tuple(comps), N=centred.N, even_parts=tuple(even_parts), odd_parts=tuple(odd_parts)
     )
 
 
@@ -354,7 +352,7 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
     for j, comp in enumerate(centred.components, start=1):
         if len(comp) < 2:
             return False, f"component {j} has fewer than 2 values"
-        if comp != tuple(map(neg, reversed(comp))):
+        if not _symmetric(comp):
             return False, f"component {j} is not symmetric about 0"
         top = comp[-1]
         mapped = [(v + top) >> 1 for v in comp]
@@ -427,11 +425,7 @@ def system_from_json(doc) -> "SumSystem | CentredSumSystem":
     for c in comps:
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in c):
             raise ValueError("component values must be integers")
-    system = (
-        CentredSumSystem(_as_component_tuples(comps))
-        if doubled
-        else SumSystem(_as_component_tuples(comps))
-    )
+    system = CentredSumSystem(comps) if doubled else SumSystem(comps)
     if system.N != n:
         raise ValueError(
             f"stated N = {n} but component sizes multiply to {system.N}"

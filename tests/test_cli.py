@@ -1,8 +1,10 @@
 """Command-line behaviour: documents, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -78,6 +80,8 @@ class TestCount:
         assert invoke(capsys, "count", "--n", "12", "--m", "2", "--all-m")[0] == 2
         assert invoke(capsys, "count", "--n", "0")[0] == 2
         assert invoke(capsys, "count", "--tuple", "2,x")[0] == 2
+        assert invoke(capsys, "count", "--tuple", "1,2") == (
+            2, "", "error: target tuple entries must be integers >= 2, got 1\n")
 
 
 class TestEnumerate:
@@ -202,8 +206,53 @@ class TestBuild:
         assert "bad JOF JSON: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_huge_part_index(self):
+        # 1 GiB of address space, so a checker that sized a list by the part
+        # index fails at once here rather than exhausting the host
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run([*SUMSYS, "build", "--jof", "1000000000000:2"],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: part 1 never appears (parts run 1..1000000000000)\n"
+
+
+# Malformed documents and the exact reason `verify` gives for each.
+BAD_DOCUMENTS = [
+    ("unsorted", {"N": 2, "components": [[1, 0]], "doubled": False},
+     "component values must be strictly ascending"),
+    ("duplicate value", {"N": 3, "components": [[0, 0, 1]], "doubled": False},
+     "component values must be strictly ascending"),
+    ("negative value", {"N": 2, "components": [[-1, 0]], "doubled": False},
+     "sum system values must be non-negative"),
+    ("empty component", {"N": 2, "components": [[0, 1], []], "doubled": False},
+     "components must be non-empty"),
+    ("no components", {"N": 1, "components": [], "doubled": False},
+     "a sum system needs at least one component"),
+    ("no centred components", {"N": 1, "components": [], "doubled": True},
+     "a centred sum system needs at least one component"),
+    ("asymmetric centred", {"N": 2, "components": [[-1, 3]], "doubled": True},
+     "centred components must be symmetric about 0"),
+    ("mixed parity centred", {"N": 4, "components": [[-2, -1, 1, 2]], "doubled": True},
+     "values within a centred component must share parity"),
+    ("wrong stated N", {"N": 5, "components": [[0, 1], [0, 2]], "doubled": False},
+     "stated N = 5 but component sizes multiply to 4"),
+]
+
 
 class TestVerify:
+    @pytest.mark.parametrize("doc,reason", [row[1:] for row in BAD_DOCUMENTS],
+                             ids=[row[0] for row in BAD_DOCUMENTS])
+    def test_malformed_document_reasons(self, capsys, tmp_path, doc, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, "verify", "--file", str(path))
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "reason": reason}
+
     def build_to_file(self, capsys, tmp_path, *flags):
         code, out, _ = invoke(capsys, "build", "--jof", WORKED, *flags)
         assert code == 0
@@ -271,6 +320,15 @@ class TestVerify:
         verdict = json.loads(proc.stdout)
         assert verdict["ok"] is False
         assert verdict["reason"].startswith("not valid JSON: ")
+
+    def test_value_past_the_digit_cap(self, capsys, tmp_path):
+        # rejected before int() parses it, which is quadratic in the digits
+        path = tmp_path / "huge.json"
+        path.write_text('{"N": 2, "components": [[0, 1%s]], "doubled": false}' % ("0" * 10**5))
+        code, out, err = invoke(capsys, "verify", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "4300" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", "--file", str(tmp_path / "nope.json"))
@@ -374,6 +432,46 @@ class TestDeepIndices:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{expected}\n"
+
+
+@pytest.fixture
+def exact_digits():
+    """Lift Python 3.11+'s 4300-digit int <-> str cap in this process for one
+    test, so that it can write and read the exact values it compares."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestHugeValues:
+    """Exact values past 4300 digits print in full in a fresh interpreter."""
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    @pytest.mark.parametrize(
+        "argv,key,expected",
+        [
+            (["count", "--tuple", ",".join(["2"] * 2000)], "count", math.factorial(2000)),
+            (["divisor-fn", "--kind", "d", "--j", str(10**80), "--n", str(2**62)], "value",
+             math.comb(10**80 + 61, 62)),
+        ],
+        ids=["count-2000-parts", "divisor-fn-huge-j"],
+    )
+    def test_subprocess(self, exact_digits, fmt, argv, key, expected):
+        proc = subprocess.run(
+            [*SUMSYS, *argv, "--format", fmt],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "plain":
+            assert proc.stdout == f"{expected}\n"
+        else:
+            assert json.loads(proc.stdout)[key] == expected
 
 
 class TestCheck:

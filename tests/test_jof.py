@@ -62,6 +62,49 @@ class TestValidate:
         assert validate([[1, 2], [2, 2]], [2, 2]) == (True, None)
 
 
+# One fault each: the JOF, a target tuple, the reason validate gives against
+# that tuple, and what infer_parts gives (its reason, or the inferred tuple
+# where the fault needs a target to show).
+SINGLE_FAULTS = [
+    ("not a sequence", 17, (2,), "a JOF is a sequence of (part, factor) pairs",
+     "a JOF is a sequence of (part, factor) pairs"),
+    ("entry not a sequence", ((1, 2), None), (2,), "a JOF is a sequence of (part, factor) pairs",
+     "a JOF is a sequence of (part, factor) pairs"),
+    ("empty", (), (2,), "a JOF needs at least one entry", "a JOF needs at least one entry"),
+    ("not a pair", ((1, 2), (2, 3, 1)), (2, 3), "entry 2 is not a (part, factor) pair of integers",
+     "entry 2 is not a (part, factor) pair of integers"),
+    ("non-int", ((1, 2), (2, "3")), (2, 3), "entry 2 is not a (part, factor) pair of integers",
+     "entry 2 is not a (part, factor) pair of integers"),
+    ("bool", ((True, 2),), (2,), "entry 1 is not a (part, factor) pair of integers",
+     "entry 1 is not a (part, factor) pair of integers"),
+    ("part < 1", ((1, 2), (0, 3)), (2,), "entry 2 names part 0; parts are numbered from 1",
+     "entry 2 names part 0; parts are numbered from 1"),
+    ("factor < 2", ((1, 2), (2, 3), (1, 1)), (2, 3), "entry 3 has factor 1; factors must be >= 2",
+     "entry 3 has factor 1; factors must be >= 2"),
+    ("part beyond the tuple", ((1, 2), (2, 2)), (2,),
+     "entry 2 names part 2, but the tuple has 1 parts", (2, 2)),
+    ("same part twice in a row", ((1, 2), (1, 3)), (6,),
+     "entries 1 and 2 name the same part 1", "entries 1 and 2 name the same part 1"),
+    ("product mismatch", ((1, 2), (2, 3)), (2, 2), "part 2 factors multiply to 3, expected 2",
+     (2, 3)),
+    ("missing part", ((1, 2), (3, 2)), (2, 2, 2), "part 2 factors multiply to 1, expected 2",
+     "part 2 never appears (parts run 1..3)"),
+]
+
+
+@pytest.mark.parametrize("jof,parts,reason,inferred",
+                         [row[1:] for row in SINGLE_FAULTS],
+                         ids=[row[0] for row in SINGLE_FAULTS])
+def test_single_fault_reasons(jof, parts, reason, inferred):
+    assert validate(jof, parts) == (False, reason)
+    if isinstance(inferred, tuple):
+        assert infer_parts(jof) == inferred
+    else:
+        with pytest.raises(ValueError) as info:
+            infer_parts(jof)
+        assert str(info.value) == inferred
+
+
 class TestPartialProducts:
     def test_worked_example(self):
         assert partial_products(WORKED_JOF) == (1, 3, 9, 27, 54, 270)
@@ -81,6 +124,14 @@ class TestInferParts:
     def test_adjacent_same_part(self):
         with pytest.raises(ValueError, match="same part"):
             infer_parts(((1, 2), (1, 2)))
+
+    def test_huge_part_index(self):
+        # products are kept by part: no list up to the index is allocated
+        with pytest.raises(ValueError) as info:
+            infer_parts(((10**12, 2),))
+        assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
+        assert validate(((10**12, 2),), (2,)) == (
+            False, "entry 1 names part 1000000000000, but the tuple has 1 parts")
 
     def test_garbage(self):
         with pytest.raises(ValueError):

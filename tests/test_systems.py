@@ -87,12 +87,19 @@ class TestBuild:
             assert SumSystem(s.components) == s
             assert CentredSumSystem(c.components) == c
             assert CentredSumSystem(from_s.components) == from_s
+            b = to_sum_and_distance(c)
+            assert SumAndDistanceSystem(b.N, b.components, b.even_parts, b.odd_parts) == b
 
     def test_rejects_invalid_jof(self):
         with pytest.raises(ValueError):
             build_sum_system(((1, 2), (1, 2)))
         with pytest.raises(ValueError):
             build_centred(((1, 2), (3, 2)))
+        # products are kept by part: a huge part index allocates nothing
+        for build in (build_sum_system, build_centred):
+            with pytest.raises(ValueError) as info:
+                build(((10**12, 2),))
+            assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
 
 
 class TestConstructors:
