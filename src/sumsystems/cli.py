@@ -4,6 +4,8 @@ Subcommands: count, enumerate, build, verify, table, divisor-fn, check.
 Results go to stdout as a single JSON document (CSV for table, bare values
 with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
+A command reports a usage error by raising ValueError; `run` is the one
+place that prints "error: ..." and picks the exit code.
 `enumerate` writes its document as it goes rather than building it whole.
 """
 
@@ -32,11 +34,17 @@ def _emit(doc: dict, fmt: str, plain_lines) -> None:
         print(json.dumps(doc, indent=2))
 
 
+def _count_row(n: int, m: int, unordered: bool) -> dict:
+    row = {"m": m, "count": counting.count_m_part(n, m).value}
+    if unordered:
+        row["unordered"] = counting.count_unordered(n, m).value
+    return row
+
+
 def _cmd_count(args) -> int:
     if args.tuple is not None:
-        if args.m is not None or args.all_m or args.unordered:
-            print("error: --tuple does not combine with --m/--all-m/--unordered", file=sys.stderr)
-            return 2
+        if args.m is not None or args.unordered:
+            raise ValueError("--tuple does not combine with --m/--unordered")
         parts = _parse_tuple(args.tuple)
         result = jof.count_for_tuple(parts)
         _emit(
@@ -46,37 +54,17 @@ def _cmd_count(args) -> int:
         )
         return 0
     n = args.n
-    if n is None:
-        print("error: count needs --n or --tuple", file=sys.stderr)
-        return 2
-    if args.m is not None and args.all_m:
-        print("error: --m and --all-m are mutually exclusive", file=sys.stderr)
-        return 2
-    if n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 2
+    shown = "unordered" if args.unordered else "count"
     if args.m is not None:
-        entry = {"N": n, "m": args.m, "count": counting.count_m_part(n, args.m).value}
-        plain = [str(entry["count"])]
-        if args.unordered:
-            entry["unordered"] = counting.count_unordered(n, args.m).value
-            plain = [str(entry["unordered"])]
-        entry["method"] = "closed-form"
-        _emit(entry, args.format, plain)
-        return 0
-    # no --m: report every m that can be non-zero
-    top = max(1, arith.big_omega(n))
-    rows = []
-    plain = []
-    for m in range(1, top + 1):
-        row = {"m": m, "count": counting.count_m_part(n, m).value}
-        if args.unordered:
-            row["unordered"] = counting.count_unordered(n, m).value
-        rows.append(row)
-        plain.append(
-            f"{m} {row['unordered' if args.unordered else 'count']}"
-        )
-    _emit({"N": n, "counts": rows, "method": "closed-form"}, args.format, plain)
+        doc = {"N": n, **_count_row(n, args.m, args.unordered), "method": "closed-form"}
+        plain = [str(doc[shown])]
+    else:
+        # every m that can be non-zero
+        rows = [_count_row(n, m, args.unordered)
+                for m in range(1, max(1, arith.big_omega(n)) + 1)]
+        doc = {"N": n, "counts": rows, "method": "closed-form"}
+        plain = [f"{row['m']} {row[shown]}" for row in rows]
+    _emit(doc, args.format, plain)
     return 0
 
 
@@ -100,8 +88,7 @@ def _write_blocks(write, found, block, sep: str) -> None:
 def _cmd_enumerate(args) -> int:
     parts = _parse_tuple(args.tuple)
     if args.limit < 0:
-        print("error: --limit must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--limit must be non-negative")
     found = jof.enumerate_jofs(parts, cap=args.limit)
     write = sys.stdout.write
     text = jof.jof_to_text
@@ -120,6 +107,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_build(args) -> int:
     entries = jof.parse_jof_text(args.jof)
+    # a system holds the sum of its cardinalities in values; past the bound
+    # `enumerate` uses, it is refused here rather than run out of memory
+    values = sum(jof.infer_parts(entries))
+    if values > jof.DEFAULT_CAP:
+        raise ValueError(
+            f"the system has {values} values, more than the build cap of {jof.DEFAULT_CAP}"
+        )
     if args.sum_and_distance:
         built = systems.to_sum_and_distance(systems.build_centred(entries))
     elif args.centred:
@@ -144,8 +138,7 @@ def _cmd_verify(args) -> int:
         with open(args.file, "r", encoding="utf-8") as handle:
             doc = json.load(handle, parse_int=_doc_int)
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.file}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         ok, reason = False, f"not valid JSON: {exc}"
         system = None
@@ -170,8 +163,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.max_n < 1 or args.max_m < 1:
-        print("error: --max-n and --max-m must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n and --max-m must be positive")
     print("N,m,count")
     for n in range(1, args.max_n + 1):
         for m in range(1, args.max_m + 1):
@@ -181,8 +173,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_divisor_fn(args) -> int:
     if args.r is not None and args.kind != "assoc":
-        print("error: --r only applies to --kind assoc", file=sys.stderr)
-        return 2
+        raise ValueError("--r only applies to --kind assoc")
     if args.kind == "d":
         value = arith.classical_divisor(args.j, args.n)
     elif args.kind == "c":
@@ -228,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="closed-form counts of sum systems")
-    p.add_argument("--n", type=int, help="count systems for this N over all part tuples")
-    p.add_argument("--tuple", help="count JOFs of one fixed tuple, e.g. 9,5,6")
-    p.add_argument("--m", type=int, help="restrict to m parts")
-    p.add_argument("--all-m", action="store_true", help="one row per m (default without --m)")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--n", type=int, help="count systems for this N over all part tuples")
+    target.add_argument("--tuple", help="count JOFs of one fixed tuple, e.g. 9,5,6")
+    p.add_argument("--m", type=int, help="restrict to m parts (default: one row per m)")
     p.add_argument("--unordered", action="store_true", help="also divide out part order")
     _add_format(p)
     p.set_defaults(func=_cmd_count)
@@ -281,23 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    # exact values of any size: Python 3.11+ caps int <-> str at 4300 digits
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact values of any size, argv included: Python 3.11+ caps int <-> str
+    # at 4300 digits, so the cap is lifted for this call and then restored
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        return exc.code if isinstance(exc.code, int) else 2
     except jof.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .arith import (
     _SIGNATURE_CACHE,
+    _check_positive,
     big_omega,
     divisors,
     factorise,
@@ -77,8 +78,6 @@ def count_m_part(n: int, m: int) -> CountResult:
     m = 0 is the convention value: 1 at n = 1, else 0; it makes the
     divisor-sum identities uniform.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
     return CountResult(_n_m(factorise(n).signature, m), "closed-form")
@@ -90,8 +89,6 @@ def count_two_part(n: int) -> CountResult:
     Deliberately routed through the multiplicative c_L formula rather than
     the Stirling sum, so the two agree only if both are right.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     total = 2 * sum(nontrivial_divisor(length, n) for length in range(2, big_omega(n) + 1))
     return CountResult(total, "closed-form")
 
@@ -112,8 +109,7 @@ def count_by_recurrence(n: int, m: int) -> CountResult:
     """Same count, but from the divisor-sum recurrence with only
     N = 1 as the base case.  An independent route for cross-checking.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     if m < 0:
         raise ValueError("m must be non-negative")
     return CountResult(_n_m_recurrence(n, m), "divisor-recurrence")
@@ -135,8 +131,6 @@ def _m_m(signature: tuple[int, ...], m: int) -> int:
 
 def count_unordered(n: int, m: int) -> CountResult:
     """m-part sum systems counted up to reordering the parts."""
-    if n < 1:
-        raise ValueError("n must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
     return CountResult(_m_m(factorise(n).signature, m), "closed-form")
@@ -211,8 +205,6 @@ def divisor_sum_check(n: int, m: int) -> DivisorSumReport:
     the signature, so each class is summed once, weighted by its size, and
     no divisor is factorised.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
     pf = factorise(n)
@@ -238,8 +230,6 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
     This is a fixed-tuple count; it is not half of the all-tuples two-part
     count for n^2 (at n = 4 they are 3 and 7).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     total = 0
     for j in range(1, big_omega(n) + 1):
         cj = nontrivial_divisor(j, n)
@@ -264,10 +254,6 @@ def brute_force_count(n: int, m: int, cap: int = DEFAULT_CAP) -> CountResult:
     """Count m-part systems for n by enumerating every JOF of every ordered
     tuple.  The independent oracle for count_m_part.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m < 1:
-        raise ValueError("m must be at least 1")
     total = 0
     for parts in ordered_factorisations(n, m):
         total += len(enumerate_jofs(parts, cap=cap))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .arith import factorise, nontrivial_divisors, signature_squarefree_count
+from .arith import _check_positive, factorise, nontrivial_divisors, signature_squarefree_count
 
 Entry = tuple[int, int]
 Jof = tuple[Entry, ...]
@@ -163,8 +163,7 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
 
 def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
     """Ordered m-tuples of integers >= 2 with product n, ascending lex."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:

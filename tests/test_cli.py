@@ -37,6 +37,12 @@ def subprocess_env():
     return env
 
 
+def limit_memory():
+    """1 GiB of address space for a subprocess, so that code which sizes its
+    memory by an input value fails at once rather than exhausting the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 class TestCount:
     def test_single_m(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "12", "--m", "2")
@@ -82,6 +88,65 @@ class TestCount:
         assert invoke(capsys, "count", "--tuple", "2,x")[0] == 2
         assert invoke(capsys, "count", "--tuple", "1,2") == (
             2, "", "error: target tuple entries must be integers >= 2, got 1\n")
+
+    def test_every_m_unordered(self, capsys):
+        code, out, _ = invoke(capsys, "count", "--n", "12", "--unordered")
+        assert code == 0
+        assert json.loads(out) == {
+            "N": 12,
+            "counts": [
+                {"m": 1, "count": 1, "unordered": 1},
+                {"m": 2, "count": 14, "unordered": 7},
+                {"m": 3, "count": 18, "unordered": 3},
+            ],
+            "method": "closed-form",
+        }
+        assert invoke(capsys, "count", "--n", "12", "--unordered", "--format", "plain") == (
+            0, "1 1\n2 7\n3 3\n", "")
+
+
+# Every usage error, its exit code and the last line it writes to stderr.
+# Errors argparse reports are pinned by their final "error:" line only, as
+# the usage text above it wraps differently across Python versions.
+USAGE_ERRORS = [
+    ("count-needs-n-or-tuple", ["count"],
+     "sumsys count: error: one of the arguments --n --tuple is required"),
+    ("count-n-and-tuple", ["count", "--tuple", "2,6", "--n", "12"],
+     "sumsys count: error: argument --n: not allowed with argument --tuple"),
+    ("count-tuple-and-m", ["count", "--tuple", "2,6", "--m", "2"],
+     "error: --tuple does not combine with --m/--unordered"),
+    ("count-tuple-and-unordered", ["count", "--tuple", "2,6", "--unordered"],
+     "error: --tuple does not combine with --m/--unordered"),
+    ("count-all-m", ["count", "--n", "12", "--all-m"],
+     "sumsys: error: unrecognized arguments: --all-m"),
+    ("count-n-zero", ["count", "--n", "0"],
+     "error: expected a positive integer, got 0"),
+    ("count-tuple-part-one", ["count", "--tuple", "1,2"],
+     "error: target tuple entries must be integers >= 2, got 1"),
+    ("enumerate-negative-limit", ["enumerate", "--tuple", "12", "--limit", "-1"],
+     "error: --limit must be non-negative"),
+    ("table-max-n-zero", ["table", "--max-n", "0", "--max-m", "3"],
+     "error: --max-n and --max-m must be positive"),
+    ("divisor-fn-r-without-assoc", ["divisor-fn", "--r", "1", "--kind", "c", "--j", "2",
+                                    "--n", "12"],
+     "error: --r only applies to --kind assoc"),
+    ("verify-missing-file", ["verify", "--file", "nope.json"],
+     "error: cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    ("check-m-zero", ["check", "--n", "12", "--m", "0"],
+     "error: m must be at least 1"),
+    ("build-malformed-jof", ["build", "--jof", "nonsense"],
+     "error: bad JOF entry 'nonsense', expected part:factor"),
+]
+
+
+@pytest.mark.parametrize("argv,last_line", [row[1:] for row in USAGE_ERRORS],
+                         ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_error(capsys, tmp_path, monkeypatch, argv, last_line):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == last_line
+    assert "Traceback" not in err
 
 
 class TestEnumerate:
@@ -207,17 +272,31 @@ class TestBuild:
         assert "Traceback" not in proc.stderr
 
     def test_huge_part_index(self):
-        # 1 GiB of address space, so a checker that sized a list by the part
-        # index fails at once here rather than exhausting the host
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
         proc = subprocess.run([*SUMSYS, "build", "--jof", "1000000000000:2"],
                               capture_output=True, text=True, env=subprocess_env(),
                               preexec_fn=limit_memory, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: part 1 never appears (parts run 1..1000000000000)\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--centred"], ["--sum-and-distance"]],
+                             ids=["plain", "centred", "sum-and-distance"])
+    def test_past_the_build_cap(self, flags):
+        # N = 10^10 ran out of memory mid-build: refused before building now
+        proc = subprocess.run([*SUMSYS, "build", "--jof", "1:10000000000", *flags],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: the system has 10000000000 values, more than the build cap of 1000000\n")
+
+    def test_build_cap_is_the_enumeration_cap(self, capsys):
+        assert invoke(capsys, "build", "--jof", "1:1000001") == (
+            2, "", "error: the system has 1000001 values, more than the build cap of 1000000\n")
+        code, out, err = invoke(capsys, "build", "--jof", "1:1000000")
+        assert (code, err) == (0, "")
+        assert out.startswith('{\n  "N": 1000000,\n')
 
 
 # Malformed documents and the exact reason `verify` gives for each.
@@ -493,6 +572,25 @@ class TestCheck:
 
 
 class TestTopLevel:
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the int <-> str digit cap is new in Python 3.11")
+    @pytest.mark.parametrize("argv,expected", [
+        (["count", "--n", "12"], 0),
+        (["count", "--n", "0"], 2),
+        (["count", "--tuple", "2,x"], 2),
+        (["enumerate", "--tuple", "8,2", "--limit", "2"], 3),
+        (["divisor-fn", "--kind", "c", "--j", "1" * 5000, "--n", "12"], 0),  # parsed past the cap
+    ])
+    def test_digit_cap_is_restored(self, capsys, argv, expected):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(argv) == expected
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        capsys.readouterr()
+
     def test_no_arguments(self, capsys):
         assert run([]) == 2
         capsys.readouterr()

@@ -18,7 +18,7 @@ from sumsystems.counting import (
     stirling2,
     two_dim_fixed_tuple,
 )
-from sumsystems.jof import CapExceeded, count_for_tuple
+from sumsystems.jof import CapExceeded, count_for_tuple, ordered_factorisations
 
 from oracles import naive_stirling2
 
@@ -241,3 +241,24 @@ class TestBruteForce:
             brute_force_count(0, 2)
         with pytest.raises(ValueError):
             brute_force_count(12, 0)
+
+
+# Every counting entry point with a valid m: N is checked by the one rule in
+# arith, whether or not the function factorises before it could return.
+BAD_N_CALLS = {
+    "count_m_part": lambda n: count_m_part(n, 1),
+    "count_two_part": count_two_part,
+    "count_unordered": lambda n: count_unordered(n, 1),
+    "divisor_sum_check": lambda n: divisor_sum_check(n, 1),
+    "two_dim_fixed_tuple": two_dim_fixed_tuple,
+    "count_by_recurrence": lambda n: count_by_recurrence(n, 0),
+    "ordered_factorisations": lambda n: ordered_factorisations(n, 1),
+    "brute_force_count": lambda n: brute_force_count(n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -5, 1.5, True, 2**63], ids=repr)
+@pytest.mark.parametrize("name", list(BAD_N_CALLS))
+def test_bad_n_raises(name, n):
+    with pytest.raises(ValueError):
+        BAD_N_CALLS[name](n)
