@@ -28,7 +28,9 @@ from typing import Callable
 MAX_INPUT = 2**63 - 1
 
 # Entries kept by each signature-keyed cache.  A signature is a partition of
-# Omega(n) <= 62, and realistic workloads touch a few hundred of them.
+# Omega(n) <= 62, and realistic workloads touch a few hundred of them.  The
+# caches keyed by n (factorise, divisors) share the bound, so a long run over
+# ever new n holds at most this many of each.
 _SIGNATURE_CACHE = 4096
 
 
@@ -69,7 +71,7 @@ def _check_positive(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGNATURE_CACHE)
 def factorise(n: int) -> PrimeFactorisation:
     """Trial-division factorisation of a positive integer up to 2**63 - 1."""
     _check_positive(n)
@@ -101,7 +103,7 @@ def big_omega(n: int) -> int:
     return factorise(n).big_omega
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGNATURE_CACHE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in ascending order."""
     divs = [1]
@@ -110,7 +112,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SIGNATURE_CACHE)
 def nontrivial_divisors(n: int) -> tuple[int, ...]:
     """Divisors of n that are >= 2, ascending (n itself included)."""
     return divisors(n)[1:]

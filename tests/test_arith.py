@@ -22,6 +22,7 @@ from sumsystems.arith import (
     mobius,
     modified_mobius,
     nontrivial_divisor,
+    nontrivial_divisors,
     squarefree_ordered_count,
 )
 
@@ -88,6 +89,13 @@ class TestDivisors:
             assert ds == tuple(sorted(ds))
             assert all(n % d == 0 for d in ds)
             assert {n // d for d in ds} == set(ds)
+
+
+@pytest.mark.parametrize("cached", [factorise, divisors, nontrivial_divisors])
+def test_caches_keyed_by_n_are_bounded(cached):
+    for n in range(10**6, 10**6 + 5000):
+        cached(n)
+    assert cached.cache_info().currsize <= 4096
 
 
 class TestMobius:

@@ -1,19 +1,24 @@
-"""The Minkowski fold behind both verifiers, against the set fold.
+"""The Minkowski fold behind both verifiers, against the set fold, and the
+JOF read-back that spares a genuine system the fold.
 
 oracles.set_fold_verify is the verifiers' original route.  Verdicts must
 always agree.  Reasons must agree whenever sum of max A_j <= N - 1; above
 that the fold reports non-coverage before it looks for collisions.  The
 fold multiplies bitsets on dense stages and adds sets on sparse ones, so
-systems whose stages switch between the two are checked as well.
+systems whose stages switch between the two are checked as well.  With
+systems._READ_RATIO at 0 every system is read first; the verdicts and
+reasons must then be those of the fold alone.
 """
 
 import json
+import math
 import random
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsystems import systems
 from sumsystems.cli import run
 from sumsystems.systems import (
     CentredSumSystem,
@@ -21,6 +26,7 @@ from sumsystems.systems import (
     build_sum_system,
     centre,
     system_from_json,
+    system_to_json,
     verify_centred,
     verify_sum_system,
 )
@@ -172,6 +178,18 @@ def test_random_palindromic_components(comps):
     assert check_against_oracle(centre(plain))[0] == ok
 
 
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(palindromic(), min_size=1, max_size=4))
+def test_read_route_on_random_palindromic_components(comps):
+    plain = SumSystem(tuple(comps))
+    for system, verify in ((plain, verify_sum_system), (centre(plain), verify_centred)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(systems, "_READ_RATIO", math.inf)
+            fold_alone = verify(system)
+            patch.setattr(systems, "_READ_RATIO", 0)
+            assert verify(system) == fold_alone
+
+
 @st.composite
 def shuffled_systems(draw):
     """A sum system with N up to 16384 from random (part, factor) entries,
@@ -242,3 +260,90 @@ class TestHostileValues:
         assert set_fold_verify(((0, 2), (0, 2)), centred=False) == (
             False, "sums collide when component 2 is added",
         )
+
+
+# N = 3 * 9! = 1088640, about 2^20, from components of 252, 90 and 48 values
+LARGE_JOF = (
+    (1, 3), (2, 5), (3, 4), (1, 7), (2, 2), (3, 6), (1, 4), (2, 9), (3, 2), (1, 3),
+)
+
+
+def systems_up_to_96():
+    """(plain, centred) for every JOF with N <= 96: as built, with its
+    components reversed, and with one seeded symmetric value move."""
+    rng = random.Random(20231018)
+    for jof in all_jofs_up_to(96):
+        comps = build_sum_system(jof).components
+        variants = [comps, comps[::-1]]
+        j = rng.randrange(len(comps))
+        moved = move_symmetric_pair(comps[j], rng)
+        if moved is not None:
+            variants.append(comps[:j] + (moved,) + comps[j + 1:])
+        for variant in variants:
+            plain = SumSystem(variant)
+            yield plain, centre(plain)
+
+
+def recording_fold(monkeypatch):
+    """Patch the verifiers' fold with one that keeps each verdict it gives."""
+    verdicts = []
+    fold = systems._fold
+
+    def recorded(*args):
+        verdicts.append(fold(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(systems, "_fold", recorded)
+    return verdicts
+
+
+def no_fold(*args):
+    raise AssertionError("the fold ran")
+
+
+class TestReadRoute:
+    def test_every_small_system_as_by_the_fold_alone(self, monkeypatch):
+        cases = list(systems_up_to_96())
+        monkeypatch.setattr(systems, "_READ_RATIO", math.inf)
+        fold_alone = [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
+        monkeypatch.setattr(systems, "_READ_RATIO", 0)
+        folded = recording_fold(monkeypatch)
+        assert [(verify_sum_system(p), verify_centred(c)) for p, c in cases] == fold_alone
+        # every genuine system was read back: the fold only rejected
+        assert folded and not any(ok for ok, _ in folded)
+        verdicts = {ok for pair in fold_alone for ok, _ in pair}
+        assert verdicts == {True, False}
+
+    def test_genuine_large_system_skips_the_fold(self, monkeypatch):
+        monkeypatch.setattr(systems, "_fold", no_fold)
+        system = build_sum_system(LARGE_JOF)
+        assert system.N == 3 * math.factorial(9)
+        assert verify_sum_system(system) == (True, None)
+        assert verify_centred(centre(system)) == (True, None)
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_cli_verify_of_genuine_large_document_skips_the_fold(
+        self, monkeypatch, capsys, tmp_path, centred
+    ):
+        system = build_sum_system(LARGE_JOF)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(system_to_json(centre(system) if centred else system)))
+        monkeypatch.setattr(systems, "_fold", no_fold)
+        code = run(["verify", "--file", str(path)])
+        verdict = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert verdict["ok"] is True and verdict["reason"] is None
+
+    def test_value_corrupted_large_system_still_folds(self, monkeypatch):
+        comps = build_sum_system(LARGE_JOF).components
+        rng = random.Random(1)
+        moved = None
+        while moved is None:
+            moved = move_symmetric_pair(comps[0], rng)
+        corrupted = SumSystem((moved,) + comps[1:])
+        folded = recording_fold(monkeypatch)
+        plain = verify_sum_system(corrupted)
+        doubled = verify_centred(centre(corrupted))
+        assert folded == [plain, doubled]
+        assert plain[0] is False and plain[1].startswith("sums collide when component")
+        assert doubled == plain

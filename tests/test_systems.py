@@ -11,6 +11,7 @@ from sumsystems.systems import (
     build_centred,
     build_sum_system,
     centre,
+    jof_of_system,
     minkowski_sum,
     sigma_a,
     system_from_json,
@@ -183,6 +184,36 @@ class TestVerify:
         assert brute_minkowski(s.components) == list(range(270))
         c = build_centred(JOF_A)
         assert brute_minkowski(c.components) == list(range(-269, 270, 2))
+
+
+class TestJofOfSystem:
+    def test_inverts_the_builder_exhaustive_small(self):
+        for jof in all_jofs_up_to(96):
+            assert jof_of_system(build_sum_system(jof)) == jof
+
+    def test_worked_example(self):
+        assert jof_of_system(SumSystem(SYSTEM_A)) == JOF_A
+
+    def test_reads_permuted_components(self):
+        # {0, 2} + {0, 1} tiles 0..3: part 2 takes the first factor
+        assert jof_of_system(SumSystem([[0, 2], [0, 1]])) == ((2, 2), (1, 2))
+
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            # SYSTEM_A with the symmetric pair (1, 19) moved to (3, 17)
+            ((0, 2, 3, 9, 10, 11, 17, 18, 20),) + SYSTEM_A[1:],
+            # SYSTEM_A with its third component doubled
+            SYSTEM_A[:2] + (tuple(2 * v for v in SYSTEM_A[2]),),
+            [[0], [0, 1]],
+            [[0, 2], [0, 2]],
+            [[1, 2], [0, 2]],
+        ],
+        ids=["moved-pair", "scaled", "one-value", "collision", "no-zero"],
+    )
+    def test_no_jof_builds_it(self, comps):
+        with pytest.raises(ValueError, match="no JOF builds this system"):
+            jof_of_system(SumSystem(comps))
 
 
 class TestStatistics:
