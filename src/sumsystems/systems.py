@@ -6,9 +6,15 @@ Centring shifts each component to be symmetric about 0; the shifted values
 are half-integers whenever max A_j is odd, so centred components are stored
 as doubled integers (2a - max A_j), which keeps everything exact.
 
+The public constructors own every per-value rule, each checked once over
+whole tuples: first that every value of every component is an int (booleans
+are not), then order, sign, symmetry and parity per component.
+
 Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
-F(l) * {0, ..., f_l - 1} to its part's component.  The builders, centre and
+F(l) * {0, ..., f_l - 1} to its part's component.  _blow_up is the one
+construction path: build_centred is the doubled image (2a - max A_j) of its
+components, the same map centre applies.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they skip the checks of the public constructors (centre keeps one, since its
 input may be any valid SumSystem).  Verification still never trusts
@@ -41,22 +47,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
-from operator import neg
+from operator import lt, mul, neg
 
 from .jof import Jof, _checked_jof
 
 Verdict = tuple[bool, "str | None"]
 
 
+def _int_components(components) -> tuple[tuple[int, ...], ...]:
+    """The components as tuples, once every value of every one is an int
+    (a bool, like any other subclass, is not)."""
+    comps = tuple(map(tuple, components))
+    if not {int}.issuperset(map(type, chain.from_iterable(comps))):
+        raise ValueError("component values must be integers")
+    return comps
+
+
 def _check_sorted_strict(comp: tuple[int, ...]) -> None:
     if not comp:
         raise ValueError("components must be non-empty")
-    prev = comp[0]
-    for v in comp[1:]:
-        if v <= prev:
-            raise ValueError("component values must be strictly ascending")
-        prev = v
+    if not all(map(lt, comp, comp[1:])):
+        raise ValueError("component values must be strictly ascending")
 
 
 def _symmetric(comp: tuple[int, ...]) -> bool:
@@ -97,7 +110,7 @@ class SumSystem(_Components):
     """Components of a (candidate) sum system, each sorted ascending."""
 
     def __post_init__(self) -> None:
-        comps = tuple(map(tuple, self.components))
+        comps = _int_components(self.components)
         if not comps:
             raise ValueError("a sum system needs at least one component")
         for comp in comps:
@@ -116,19 +129,16 @@ class CentredSumSystem(_Components):
     """
 
     def __post_init__(self) -> None:
-        comps = tuple(map(tuple, self.components))
+        comps = _int_components(self.components)
         if not comps:
             raise ValueError("a centred sum system needs at least one component")
         for comp in comps:
             _check_sorted_strict(comp)
             if not _symmetric(comp):
                 raise ValueError("centred components must be symmetric about 0")
-            parity = comp[0] & 1
-            for v in comp:
-                if (v & 1) != parity:
-                    raise ValueError(
-                        "values within a centred component must share parity"
-                    )
+            # v & 1 is 1 for odd v, negative ones too: none or all may be odd
+            if sum(map((1).__and__, comp)) not in (0, len(comp)):
+                raise ValueError("values within a centred component must share parity")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -152,7 +162,7 @@ class SumAndDistanceSystem(_Trusted):
     odd_parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(map(tuple, self.components))
+        comps = _int_components(self.components)
         for comp in comps:
             _check_sorted_strict(comp)
             if comp[0] <= 0:
@@ -244,21 +254,19 @@ def jof_of_system(system: SumSystem) -> Jof:
     return jof
 
 
-def build_centred(jof) -> CentredSumSystem:
-    """Centred system of a JOF, built directly on doubled values.
+def _doubled(comp: tuple[int, ...]) -> tuple[int, ...]:
+    """An ascending component shifted to be centred, in doubled storage:
+    2a - max A_j for each value a."""
+    top = comp[-1]
+    return tuple([2 * a - top for a in comp])
 
-    Entry l contributes F(l) * (2k - (f_l - 1)) for k in 0..f_l - 1, the
-    doubled centred progression.
-    """
+
+def build_centred(jof) -> CentredSumSystem:
+    """Centred system of a JOF: the doubled image of its plain components,
+    equal to centre(build_sum_system(jof)).  A plain component built from
+    a JOF is palindromic, so its image is symmetric about 0."""
     jof, products = _checked_jof(jof)
-    comps: list[list[int]] = [[0] for _ in products]
-    partial = 1
-    for part, factor in jof:
-        base = comps[part - 1]
-        offsets = range(-partial * (factor - 1), partial * factor, 2 * partial)
-        comps[part - 1] = [a + offset for offset in offsets for a in base]
-        partial *= factor
-    return CentredSumSystem._trusted(tuple(map(tuple, comps)))
+    return CentredSumSystem._trusted(tuple(map(_doubled, _blow_up(jof, len(products)))))
 
 
 def centre(system: SumSystem) -> CentredSumSystem:
@@ -269,23 +277,20 @@ def centre(system: SumSystem) -> CentredSumSystem:
     2a - max A_j keeps the ascending order and gives every value the parity
     of max A_j.
     """
-    comps = []
-    for comp in system.components:
-        top = comp[-1]
-        doubled = tuple([2 * a - top for a in comp])
-        if not _symmetric(doubled):
-            raise ValueError("centred components must be symmetric about 0")
-        comps.append(doubled)
-    return CentredSumSystem._trusted(tuple(comps))
+    comps = tuple(map(_doubled, system.components))
+    if not all(map(_symmetric, comps)):
+        raise ValueError("centred components must be symmetric about 0")
+    return CentredSumSystem._trusted(comps)
 
 
 def to_sum_and_distance(centred: CentredSumSystem) -> SumAndDistanceSystem:
-    """Keep the positive values of each centred component (still doubled)."""
+    """Keep the positive values of each centred component (still doubled):
+    the upper half, past the middle 0 of an odd-sized one."""
     comps = []
     even_parts = []
     odd_parts = []
     for j, comp in enumerate(centred.components, start=1):
-        positives = tuple(v for v in comp if v > 0)
+        positives = comp[(len(comp) + 1) // 2:]
         if not positives:
             raise ValueError(f"component {j} has no positive values")
         comps.append(positives)
@@ -467,7 +472,7 @@ def tau_c(centred: CentredSumSystem) -> Fraction:
     """
     n = centred.N
     doubled = sum(
-        (n // len(comp)) * sum(v * v for v in comp) for comp in centred.components
+        (n // len(comp)) * sum(map(mul, comp, comp)) for comp in centred.components
     )
     return Fraction(doubled, 4)
 
@@ -488,7 +493,8 @@ def system_to_json(system) -> dict:
 
 
 def system_from_json(doc) -> "SumSystem | CentredSumSystem":
-    """Parse a system document, checking shape and the stated N.
+    """Parse a system document, checking shape and the stated N; the
+    system's constructor checks the values.
 
     Sum-and-distance documents (those with parity-class keys) are not
     loadable; they describe half a system.
@@ -507,9 +513,6 @@ def system_from_json(doc) -> "SumSystem | CentredSumSystem":
         raise ValueError("doubled must be a boolean")
     if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
         raise ValueError("components must be a list of lists")
-    for c in comps:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in c):
-            raise ValueError("component values must be integers")
     system = CentredSumSystem(comps) if doubled else SumSystem(comps)
     if system.N != n:
         raise ValueError(

@@ -319,6 +319,13 @@ BAD_DOCUMENTS = [
      "values within a centred component must share parity"),
     ("wrong stated N", {"N": 5, "components": [[0, 1], [0, 2]], "doubled": False},
      "stated N = 5 but component sizes multiply to 4"),
+    ("float value", {"N": 2, "components": [[0, 1.5]], "doubled": False},
+     "component values must be integers"),
+    ("boolean value", {"N": 2, "components": [[False, True]], "doubled": False},
+     "component values must be integers"),
+    # the type of every value is checked before any component's order
+    ("unsorted then string", {"N": 4, "components": [[1, 0], [0, "x"]], "doubled": False},
+     "component values must be integers"),
 ]
 
 

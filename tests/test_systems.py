@@ -133,6 +133,20 @@ class TestConstructors:
         SumAndDistanceSystem(2, ((2,),), (1,), ())
         SumAndDistanceSystem(3, ((2,),), (), (1,))
 
+    def test_values_must_be_integers(self):
+        # every constructor checks the type of every value first, booleans
+        # included, so no bad value reaches the verifiers or the bitsets
+        for build in (
+            lambda: SumSystem([[0, 0.5, 1]]),
+            lambda: SumSystem([[False, True]]),
+            lambda: SumSystem([[1, 0], [0, "x"]]),
+            lambda: CentredSumSystem([[-1.0, 1.0]]),
+            lambda: SumAndDistanceSystem(2, ((2.0,),), (1,), ()),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == "component values must be integers"
+
 
 class TestVerify:
     def test_worked_example_passes(self):
