@@ -17,10 +17,10 @@ these sums are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property, lru_cache
 from math import comb, isqrt
-from typing import Callable
 
 # Domain cap: values beyond it are refused before any factorisation.  It
 # bounds the size of the numbers, not the time: trial division of a prime
@@ -34,12 +34,30 @@ MAX_INPUT = 2**63 - 1
 _SIGNATURE_CACHE = 4096
 
 
-@dataclass(frozen=True)
-class PrimeFactorisation:
-    """n as a product of primes, exponents included, primes ascending."""
+class _Record(tuple):
+    """Value semantics of the named-tuple records (PrimeFactorisation and
+    those of counting): equal only to a record of the same class with
+    equal fields, hashed as the tuple of the fields, and closed to
+    assignment."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # NotImplemented would let tuple's own == match any equal tuple
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's own
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+# No __slots__: the instance dict holds the cached signature.
+class PrimeFactorisation(namedtuple("PrimeFactorisation", "n factors"), _Record):
+    """n as a product of primes, exponents included, primes ascending."""
 
     @property
     def big_omega(self) -> int:

@@ -10,14 +10,14 @@ forms are measured against.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
 
 from .arith import (
     _SIGNATURE_CACHE,
+    _Record,
     _check_positive,
     big_omega,
     divisors,
@@ -49,12 +49,11 @@ def stirling2(total: int, blocks: int) -> int:
     return _stirling_rows[total][blocks]
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """A count together with how it was obtained."""
+class CountResult(namedtuple("CountResult", "value method"), _Record):
+    """A count together with how it was obtained: method is "closed-form",
+    "brute-force" or "divisor-recurrence"."""
 
-    value: int
-    method: str  # "closed-form", "brute-force" or "divisor-recurrence"
+    __slots__ = ()
 
 
 @lru_cache(maxsize=_SIGNATURE_CACHE)
@@ -139,8 +138,13 @@ def count_unordered(n: int, m: int) -> CountResult:
     return CountResult(_m_m(factorise(n).signature, m), "closed-form")
 
 
-@dataclass(frozen=True)
-class DivisorSumReport:
+class DivisorSumReport(
+    namedtuple(
+        "DivisorSumReport",
+        "n m ordered_plain ordered_mobius unordered_plain unordered_mobius",
+    ),
+    _Record,
+):
     """Residuals (left minus right) of the four divisor-sum identities.
 
     All four are zero exactly when the counts satisfy their recurrences:
@@ -148,12 +152,7 @@ class DivisorSumReport:
     pair for unordered counts.
     """
 
-    n: int
-    m: int
-    ordered_plain: int
-    ordered_mobius: int
-    unordered_plain: int
-    unordered_mobius: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

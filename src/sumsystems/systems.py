@@ -6,6 +6,11 @@ Centring shifts each component to be symmetric about 0; the shifted values
 are half-integers whenever max A_j is odd, so centred components are stored
 as doubled integers (2a - max A_j), which keeps everything exact.
 
+SumSystem, CentredSumSystem and SumAndDistanceSystem are immutable values:
+equal when of the same class with equal fields (a SumSystem never equals a
+CentredSumSystem), hashed as the tuple of their fields, and they raise
+AttributeError on assignment; they pickle and deepcopy as values.
+
 The public constructors own every per-value rule, each checked once over
 whole tuples: first that every value of every component is an int (booleans
 are not), then order, sign, symmetry and parity per component.
@@ -45,7 +50,7 @@ sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# module-level: importing it inside tau_c cost 1.3-1.8 us a call
 from fractions import Fraction
 from itertools import chain
 from math import prod
@@ -77,24 +82,47 @@ def _symmetric(comp: tuple[int, ...]) -> bool:
     return comp == tuple(map(neg, reversed(comp)))
 
 
-class _Trusted:
+class _Frozen:
+    """Value semantics of the system classes, whose fields, in constructor
+    order, are __match_args__: equal only to an instance of the same class
+    with equal fields, hashed as the tuple of the fields, and closed to
+    assignment and deletion."""
+
+    __match_args__: tuple[str, ...] = ("components",)
+
     @classmethod
     def _trusted(cls, components, **fields):
-        """An instance with these fields, skipping __post_init__: only for
+        """An instance with these fields, skipping __init__: only for
         values (components as tuples of tuples) that the validating
         constructor would accept unchanged."""
         self = object.__new__(cls)
-        object.__setattr__(self, "components", components)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(fields, components=components)
         return self
 
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
-@dataclass(frozen=True)
-class _Components(_Trusted):
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Components(_Frozen):
     """Shared shape of the plain and centred systems: N and cardinalities."""
-
-    components: tuple[tuple[int, ...], ...]
 
     @property
     def N(self) -> int:
@@ -105,22 +133,20 @@ class _Components(_Trusted):
         return tuple(map(len, self.components))
 
 
-@dataclass(frozen=True)
 class SumSystem(_Components):
     """Components of a (candidate) sum system, each sorted ascending."""
 
-    def __post_init__(self) -> None:
-        comps = _int_components(self.components)
+    def __init__(self, components) -> None:
+        comps = _int_components(components)
         if not comps:
             raise ValueError("a sum system needs at least one component")
         for comp in comps:
             _check_sorted_strict(comp)
             if comp[0] < 0:
                 raise ValueError("sum system values must be non-negative")
-        object.__setattr__(self, "components", comps)
+        self.__dict__["components"] = comps
 
 
-@dataclass(frozen=True)
 class CentredSumSystem(_Components):
     """Centred components stored as doubled integers (2a - max A_j).
 
@@ -128,8 +154,8 @@ class CentredSumSystem(_Components):
     one parity; odd stored values mean the true component is half-integral.
     """
 
-    def __post_init__(self) -> None:
-        comps = _int_components(self.components)
+    def __init__(self, components) -> None:
+        comps = _int_components(components)
         if not comps:
             raise ValueError("a centred sum system needs at least one component")
         for comp in comps:
@@ -139,7 +165,7 @@ class CentredSumSystem(_Components):
             # v & 1 is 1 for odd v, negative ones too: none or all may be odd
             if sum(map((1).__and__, comp)) not in (0, len(comp)):
                 raise ValueError("values within a centred component must share parity")
-        object.__setattr__(self, "components", comps)
+        self.__dict__["components"] = comps
 
     @property
     def half_integer(self) -> tuple[bool, ...]:
@@ -147,8 +173,7 @@ class CentredSumSystem(_Components):
         return tuple(bool(c[0] & 1) for c in self.components)
 
 
-@dataclass(frozen=True)
-class SumAndDistanceSystem(_Trusted):
+class SumAndDistanceSystem(_Frozen):
     """Positive halves of a centred system, doubled, with parity classes.
 
     Parts in even_parts have even cardinality in the originating system
@@ -156,28 +181,28 @@ class SumAndDistanceSystem(_Trusted):
     (n_j = 2|B_j| + 1).  Indices are 1-based.
     """
 
-    N: int
-    components: tuple[tuple[int, ...], ...]
-    even_parts: tuple[int, ...]
-    odd_parts: tuple[int, ...]
+    __match_args__ = ("N", "components", "even_parts", "odd_parts")
 
-    def __post_init__(self) -> None:
-        comps = _int_components(self.components)
+    def __init__(self, N, components, even_parts, odd_parts) -> None:
+        comps = _int_components(components)
+        if not comps:
+            raise ValueError("a sum-and-distance system needs at least one component")
         for comp in comps:
             _check_sorted_strict(comp)
             if comp[0] <= 0:
                 raise ValueError("sum-and-distance values must be positive")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "even_parts", tuple(self.even_parts))
-        object.__setattr__(self, "odd_parts", tuple(self.odd_parts))
+        even_parts, odd_parts = tuple(even_parts), tuple(odd_parts)
         m = len(comps)
-        if sorted(self.even_parts + self.odd_parts) != list(range(1, m + 1)):
+        if sorted(even_parts + odd_parts) != list(range(1, m + 1)):
             raise ValueError("parity classes must partition parts 1..m")
         n = 1
         for j, comp in enumerate(comps, start=1):
-            n *= 2 * len(comp) + (1 if j in self.odd_parts else 0)
-        if n != self.N:
+            n *= 2 * len(comp) + (1 if j in odd_parts else 0)
+        if n != N:
             raise ValueError("cardinalities are inconsistent with N")
+        self.__dict__.update(
+            N=N, components=comps, even_parts=even_parts, odd_parts=odd_parts
+        )
 
 
 def _blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:

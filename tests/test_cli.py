@@ -645,6 +645,18 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stderr == b""
 
+    def test_import_loads_no_introspection_modules(self):
+        # every `sumsys` run pays for what importing the CLI loads; -S keeps
+        # the imports of a host's site module from hiding a regression
+        code = ("import sys; before = set(sys.modules); import sumsystems.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "sumsystems.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
     def test_console_script(self, tmp_path):
         exe = shutil.which("sumsys")
         if exe is None:

@@ -133,6 +133,16 @@ class TestConstructors:
         SumAndDistanceSystem(2, ((2,),), (1,), ())
         SumAndDistanceSystem(3, ((2,),), (), (1,))
 
+    def test_every_kind_needs_a_component(self):
+        for build, kind in (
+            (lambda: SumSystem(()), "a sum system"),
+            (lambda: CentredSumSystem(()), "a centred sum system"),
+            (lambda: SumAndDistanceSystem(1, (), (), ()), "a sum-and-distance system"),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"{kind} needs at least one component"
+
     def test_values_must_be_integers(self):
         # every constructor checks the type of every value first, booleans
         # included, so no bad value reaches the verifiers or the bitsets
