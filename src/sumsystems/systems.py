@@ -192,6 +192,8 @@ class SumAndDistanceSystem(_Frozen):
             if comp[0] <= 0:
                 raise ValueError("sum-and-distance values must be positive")
         even_parts, odd_parts = tuple(even_parts), tuple(odd_parts)
+        if not {int}.issuperset(map(type, (N, *even_parts, *odd_parts))):
+            raise ValueError("N and part indices must be integers")
         m = len(comps)
         if sorted(even_parts + odd_parts) != list(range(1, m + 1)):
             raise ValueError("parity classes must partition parts 1..m")

@@ -10,6 +10,7 @@ the tests were produced by these functions.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb, factorial, prod
 
@@ -137,6 +138,21 @@ def generalised_d(k: int, n: int) -> int:
         out *= prod(k + i for i in range(e)) // factorial(e)
         d += 1
     return out * k if n > 1 else out
+
+
+@cache
+def divisor_recurrence(n: int, m: int) -> int:
+    """Ordered m-part system count from the divisor-sum recurrence
+    N_m(n) = sum over proper divisors d of (m - 1) N_m(d) + m N_{m-1}(d),
+    with N_0(1) = 1 the only base case.  Divisors are found by scanning
+    1..n-1, and the memo is keyed by (n, m)."""
+    if m == 0:
+        return 1 if n == 1 else 0
+    return sum(
+        (m - 1) * divisor_recurrence(d, m) + m * divisor_recurrence(d, m - 1)
+        for d in range(1, n)
+        if n % d == 0
+    )
 
 
 def naive_stirling2(total: int, blocks: int) -> int:

@@ -1,12 +1,14 @@
 """Closed-form counts against the enumeration oracle and frozen values."""
 
 import random
+import time
 
 import pytest
 
 from sumsystems.arith import big_omega, classical_divisor, divisors, mobius, nontrivial_divisor
 from sumsystems.counting import (
     CountResult,
+    _n_m_recurrence,
     binomial_inversion,
     binomial_transform,
     brute_force_count,
@@ -20,7 +22,7 @@ from sumsystems.counting import (
 )
 from sumsystems.jof import CapExceeded, count_for_tuple, ordered_factorisations
 
-from oracles import naive_stirling2
+from oracles import divisor_recurrence, naive_stirling2
 
 
 class TestStirling:
@@ -111,6 +113,21 @@ class TestCountByRecurrence:
         for n in range(1, 301):
             for m in range(0, 4):
                 assert count_by_recurrence(n, m).value == count_m_part(n, m).value
+
+    def test_matches_divisor_keyed_oracle(self):
+        for n in range(1, 401):
+            for m in range(0, 7):
+                assert count_by_recurrence(n, m).value == divisor_recurrence(n, m), (n, m)
+
+    def test_many_divisors_in_bounded_time(self):
+        # 2^4 3^3 5^3 7^2 11^2 13 17 19 23 has 11,520 divisors but needs only
+        # 1,526 memo entries over signature classes
+        n = 30920671782000
+        _n_m_recurrence.cache_clear()
+        start = time.perf_counter()
+        value = count_by_recurrence(n, 9).value
+        assert time.perf_counter() - start < 5
+        assert value == count_m_part(n, 9).value
 
     def test_method_label(self):
         assert count_by_recurrence(12, 2).method == "divisor-recurrence"

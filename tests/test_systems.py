@@ -157,6 +157,18 @@ class TestConstructors:
                 build()
             assert str(info.value) == "component values must be integers"
 
+    def test_sum_and_distance_fields_must_be_integers(self):
+        # N and the part indices are written to JSON as given, so a float or a
+        # boolean among them would reach the document
+        for build in (
+            lambda: SumAndDistanceSystem(2.0, ((1,),), (1,), ()),
+            lambda: SumAndDistanceSystem(2, ((1,),), (True,), ()),
+            lambda: SumAndDistanceSystem(2, ((1,),), (1.0,), ()),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == "N and part indices must be integers"
+
 
 class TestVerify:
     def test_worked_example_passes(self):
