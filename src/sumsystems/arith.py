@@ -241,9 +241,13 @@ def _d(k: int, signature: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=_SIGNATURE_CACHE)
 def _binomial_d_sum(j: int, shift: int, signature: tuple[int, ...]) -> int:
     """sum over i <= j of (-1)**i C(j, i) d_{shift - i}: the expansion of
-    (1 - e)^(*j) * 1^(*(shift - j)), since e = d_0 and 1 = d_1."""
+    (1 - e)^(*j) * 1^(*(shift - j)), since e = d_0 and 1 = d_1.
+
+    Equivalently (e - mu)^(*j) * d_shift, so shift 0 is the signed
+    square-free count (e - mu)^(*j) on the signature."""
     return sum((-1) ** i * comb(j, i) * _d(shift - i, signature) for i in range(j + 1))
 
 
@@ -297,11 +301,4 @@ def squarefree_ordered_count(length: int, n: int) -> int:
     pf = factorise(n)
     if length > pf.big_omega:
         return 0
-    return signature_squarefree_count(length, pf.signature)
-
-
-@lru_cache(maxsize=_SIGNATURE_CACHE)
-def signature_squarefree_count(length: int, signature: tuple[int, ...]) -> int:
-    """squarefree_ordered_count on a prime signature:
-    (e - mu)^(*length) = sum over i of (-1)**i C(length, i) d_{-i}."""
-    return _binomial_d_sum(length, 0, signature)
+    return _binomial_d_sum(length, 0, pf.signature)

@@ -18,25 +18,33 @@ from math import comb, factorial
 from .arith import (
     _SIGNATURE_CACHE,
     _Record,
+    _binomial_d_sum,
     _check_positive,
     big_omega,
     factorise,
     nontrivial_divisor,
-    signature_squarefree_count,
 )
 from .jof import DEFAULT_CAP, enumerate_jofs, ordered_factorisations
 
+_STIRLING_TOP = 62  # every count takes S(L, m) with L <= Omega(n) <= 62
 _stirling_rows: list[list[int]] = [[1]]
 
 
 def stirling2(total: int, blocks: int) -> int:
     """Stirling number of the second kind: partitions of a `total`-set into
-    `blocks` non-empty blocks.  Grown row by row and cached.
+    `blocks` non-empty blocks.  Rows up to total 62 are grown and cached;
+    a larger total sweeps the band S(b + d, b), d <= total - blocks, alone.
     """
     if total < 0 or blocks < 0:
         raise ValueError("stirling2 needs non-negative arguments")
     if blocks > total:
         return 0
+    if total > _STIRLING_TOP:
+        band = [1] + [0] * (total - blocks)  # band[d] = S(b + d, b), from b = 0
+        for b in range(1, blocks + 1):
+            for d in range(1, len(band)):
+                band[d] = b * band[d - 1] + band[d]
+        return band[-1]
     while len(_stirling_rows) <= total:
         prev = _stirling_rows[-1]
         length = len(_stirling_rows)
@@ -55,17 +63,27 @@ class CountResult(namedtuple("CountResult", "value method"), _Record):
     __slots__ = ()
 
 
+def _check_m(m: int, least: int) -> None:
+    """The one rule for m: exactly an int, at least `least`.  A float or a
+    bool is refused, since lru_cache keys 3.0 like 3 and True like 1."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < least:
+        raise ValueError(f"m must be at least {least}")
+
+
 @lru_cache(maxsize=_SIGNATURE_CACHE)
-def _n_m(signature: tuple[int, ...], m: int) -> int:
-    """Number of m-part sum systems (ordered part tuples) for any n with
-    this prime signature."""
-    if m == 0:
-        return 1 if not signature else 0
+def _n_m(signature: tuple[int, ...], m: int, shift: int) -> int:
+    """m! times the sum over L of S(L, m) ((e - mu)^(*L) * d_shift) at any n
+    with this prime signature.  Shift 0 counts the m-part sum systems
+    (ordered part tuples) for n; as d_k * 1 = d_(k+1) and d_k * mu = d_(k-1),
+    shift 1 and -1 sum that count over d | n, plain and weighted by mu(n/d).
+    """
     omega = sum(signature)
     if m > omega:
         return 0
     return factorial(m) * sum(
-        stirling2(length, m) * signature_squarefree_count(length, signature)
+        stirling2(length, m) * _binomial_d_sum(length, shift, signature)
         for length in range(m, omega + 1)
     )
 
@@ -76,9 +94,8 @@ def count_m_part(n: int, m: int) -> CountResult:
     m = 0 is the convention value: 1 at n = 1, else 0; it makes the
     divisor-sum identities uniform.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return CountResult(_n_m(factorise(n).signature, m), "closed-form")
+    _check_m(m, 0)
+    return CountResult(_n_m(factorise(n).signature, m, 0), "closed-form")
 
 
 def count_two_part(n: int) -> CountResult:
@@ -89,6 +106,27 @@ def count_two_part(n: int) -> CountResult:
     """
     total = 2 * sum(nontrivial_divisor(length, n) for length in range(2, big_omega(n) + 1))
     return CountResult(total, "closed-form")
+
+
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def _proper_divisor_classes(
+    signature: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(signature of d, number of such d) over the proper divisors d of any
+    n with this signature.
+
+    Grown one prime at a time: d takes a of the prime's e copies, so no
+    divisor is formed or factorised.
+    """
+    classes: Counter = Counter({(): 1})
+    for e in signature:
+        grown: Counter = Counter()
+        for sub, count in classes.items():
+            for a in range(e + 1):
+                grown[tuple(sorted(sub + (a,), reverse=True)) if a else sub] += count
+        classes = grown
+    classes[signature] -= 1  # d = n is not a proper divisor
+    return tuple((sub, count) for sub, count in classes.items() if count)
 
 
 # Unbounded on purpose: the recursion needs every (signature, m') entry below
@@ -102,7 +140,7 @@ def _n_m_recurrence(signature: tuple[int, ...], m: int) -> int:
         return 0 if signature else 1
     return sum(
         count * ((m - 1) * _n_m_recurrence(sub, m) + m * _n_m_recurrence(sub, m - 1))
-        for sub, _, count in _proper_divisor_classes(signature)
+        for sub, count in _proper_divisor_classes(signature)
     )
 
 
@@ -114,14 +152,13 @@ def count_by_recurrence(n: int, m: int) -> CountResult:
     weighted by its size, so no divisor of n is listed or factorised.
     """
     _check_positive(n)
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _check_m(m, 0)
     return CountResult(_n_m_recurrence(factorise(n).signature, m), "divisor-recurrence")
 
 
 def _m_m(signature: tuple[int, ...], m: int) -> int:
     """Unordered count: the ordered count divided by m! (always divides)."""
-    ordered = _n_m(signature, m)
+    ordered = _n_m(signature, m, 0)
     if not ordered:
         return 0
     q, r = divmod(ordered, factorial(m))
@@ -135,8 +172,7 @@ def _m_m(signature: tuple[int, ...], m: int) -> int:
 
 def count_unordered(n: int, m: int) -> CountResult:
     """m-part sum systems counted up to reordering the parts."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _check_m(m, 0)
     return CountResult(_m_m(factorise(n).signature, m), "closed-form")
 
 
@@ -169,51 +205,32 @@ class DivisorSumReport(
         }
 
 
-@lru_cache(maxsize=_SIGNATURE_CACHE)
-def _proper_divisor_classes(
-    signature: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """(signature of d, mu(n/d), number of such d) over the proper divisors d
-    of any n with this signature.
-
-    Grown one prime at a time: d takes a of the prime's e copies and n/d
-    the other e - a, so no divisor is formed or factorised.
-    """
-    classes: Counter = Counter({((), 1): 1})
-    for e in signature:
-        grown: Counter = Counter()
-        for (sub, mu), count in classes.items():
-            for a in range(e + 1):
-                key = tuple(sorted(sub + (a,), reverse=True)) if a else sub
-                grown[key, (mu, -mu, 0)[min(e - a, 2)]] += count
-        classes = grown
-    classes[signature, 1] -= 1  # d = n is not a proper divisor
-    return tuple((sub, mu, count) for (sub, mu), count in classes.items() if count)
-
-
 def divisor_sum_check(n: int, m: int) -> DivisorSumReport:
     """Evaluate all four divisor-sum identities at (n, m) exactly.
 
-    The sums over proper divisors d run over the classes of d by (signature
-    of d, mu(n/d)), taken from n's own exponents: the counts depend only on
-    the signature, so each class is summed once, weighted by its size, and
-    no divisor is factorised.
+    A sum over the proper divisors d of n is the kernel at n with shift 1
+    (or -1, weighted by mu(n/d)) less the d = n term; its unordered form is
+    divided by m! or (m - 1)!, which divide every term.  No divisor of n is
+    listed or factorised.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    pf = factorise(n)
-    ordered, unordered = _n_m(pf.signature, m), _m_m(pf.signature, m)
-    ordered_plain, ordered_mobius = ordered, ordered
-    unordered_plain, unordered_mobius = unordered, unordered
-    for signature, mu, count in _proper_divisor_classes(pf.signature):
-        o_m, o_less = _n_m(signature, m), _n_m(signature, m - 1)
-        u_m, u_less = _m_m(signature, m), _m_m(signature, m - 1)
-        ordered_plain -= count * ((m - 1) * o_m + m * o_less)
-        ordered_mobius += count * mu * m * (o_m + o_less)
-        unordered_plain -= count * ((m - 1) * u_m + u_less)
-        unordered_mobius += count * mu * (m * u_m + u_less)
+    _check_m(m, 1)
+    sig = factorise(n).signature
+    if m > sum(sig) + 1:  # N_m and N_(m-1) vanish on every divisor
+        return DivisorSumReport(n, m, 0, 0, 0, 0)
+    # N_m and N_(m-1): at n, summed over d | n, and weighted by mu(n/d)
+    o, o_all, o_mu = _n_m(sig, m, 0), _n_m(sig, m, 1), _n_m(sig, m, -1)
+    p, p_all, p_mu = _n_m(sig, m - 1, 0), _n_m(sig, m - 1, 1), _n_m(sig, m - 1, -1)
+    f_p = factorial(m - 1)
+    f_o = m * f_p
+    u, u_all, u_mu = o // f_o, o_all // f_o, o_mu // f_o
+    v, v_all, v_mu = p // f_p, p_all // f_p, p_mu // f_p
     return DivisorSumReport(
-        n, m, ordered_plain, ordered_mobius, unordered_plain, unordered_mobius
+        n,
+        m,
+        o - (m - 1) * (o_all - o) - m * (p_all - p),
+        o + m * (o_mu - o + p_mu - p),
+        u - (m - 1) * (u_all - u) - (v_all - v),
+        u + m * (u_mu - u) + (v_mu - v),
     )
 
 
@@ -248,6 +265,8 @@ def brute_force_count(n: int, m: int, cap: int = DEFAULT_CAP) -> CountResult:
     """Count m-part systems for n by enumerating every JOF of every ordered
     tuple.  The independent oracle for count_m_part.
     """
+    _check_positive(n)
+    _check_m(m, 1)
     total = 0
     for parts in ordered_factorisations(n, m):
         total += len(enumerate_jofs(parts, cap=cap))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .arith import _check_positive, factorise, nontrivial_divisors, signature_squarefree_count
+from .arith import _binomial_d_sum, _check_positive, factorise, nontrivial_divisors
 
 Entry = tuple[int, int]
 Jof = tuple[Entry, ...]
@@ -192,7 +192,7 @@ def count_for_tuple(parts) -> int:
     for n in parts:
         pf = factorise(n)
         series = [
-            signature_squarefree_count(length, pf.signature)
+            _binomial_d_sum(length, 0, pf.signature)
             for length in range(pf.big_omega + 1)
         ]
         step = [0] * (len(acc) + len(series) - 1)

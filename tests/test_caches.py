@@ -1,9 +1,11 @@
-"""Cache policy: every lru_cache in the package is bounded unless named here."""
+"""Cache policy: every lru_cache in the package is bounded unless named here,
+and the Stirling table keeps only the totals a count can use."""
 
 import importlib
 import pkgutil
 
 import sumsystems
+from sumsystems import counting
 
 # Each unbounded cache, with the reason an LRU bound would not do.
 UNBOUNDED = {
@@ -35,3 +37,10 @@ def test_every_cache_is_bounded_unless_named():
     assert UNBOUNDED <= set(caches)
     unbounded = {name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None}
     assert unbounded == UNBOUNDED
+
+
+def test_stirling_table_stops_at_total_62():
+    # every count uses S(L, m) with L <= Omega(n) <= 62
+    assert counting.stirling2(62, 31) > 0
+    assert counting.stirling2(3000, 2) == 2**2999 - 1
+    assert len(counting._stirling_rows) <= 63

@@ -5,9 +5,18 @@ import time
 
 import pytest
 
-from sumsystems.arith import big_omega, classical_divisor, divisors, mobius, nontrivial_divisor
+from sumsystems import arith, counting
+from sumsystems.arith import (
+    big_omega,
+    classical_divisor,
+    divisors,
+    factorise,
+    mobius,
+    nontrivial_divisor,
+)
 from sumsystems.counting import (
     CountResult,
+    _n_m,
     _n_m_recurrence,
     binomial_inversion,
     binomial_transform,
@@ -47,6 +56,17 @@ class TestStirling:
         assert stirling2(3, 9) == 0
         with pytest.raises(ValueError):
             stirling2(-1, 0)
+
+    def test_past_the_table_against_closed_form(self):
+        for total in (63, 64, 90):
+            for blocks in range(total + 2):
+                assert stirling2(total, blocks) == naive_stirling2(total, blocks), (total, blocks)
+
+    def test_large_totals_in_bounded_time(self):
+        start = time.perf_counter()
+        assert stirling2(3000, 2) == 2**2999 - 1
+        assert stirling2(3000, 2999) == 3000 * 2999 // 2
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCountMPart:
@@ -207,6 +227,83 @@ class TestDivisorSumIdentities:
         with pytest.raises(ValueError):
             divisor_sum_check(0, 1)
 
+    def test_lists_no_divisor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a divisor list was asked for")
+
+        monkeypatch.setattr(counting, "_proper_divisor_classes", refuse)
+        monkeypatch.setattr(arith, "divisors", refuse)
+        for n in (720, 30920671782000, 8677099422351360000):
+            assert divisor_sum_check(n, 3).ok
+
+    def test_a_wrong_stirling_number_is_caught(self, monkeypatch):
+        real = counting.stirling2
+        monkeypatch.setattr(counting, "stirling2", lambda t, b: real(t, b) + ((t, b) == (3, 2)))
+        _n_m.cache_clear()
+        try:
+            failed = [
+                (n, m)
+                for n in range(1, 201)
+                for m in range(1, big_omega(n) + 2)
+                if not divisor_sum_check(n, m).ok
+            ]
+        finally:
+            monkeypatch.undo()
+            _n_m.cache_clear()
+        assert failed
+
+    def test_worst_signature_every_m_from_cold(self):
+        # 2^25 3^10 5^4 7^2 11 13: 17,160 divisors, Omega = 43
+        n = 8677099422351360000
+        for cache in (_n_m, arith._binomial_d_sum, arith._d):
+            cache.cache_clear()
+        start = time.perf_counter()
+        assert all(divisor_sum_check(n, m).ok for m in range(1, big_omega(n) + 2))
+        assert time.perf_counter() - start < 2
+
+    def test_huge_m_forms_no_huge_factorial(self, monkeypatch):
+        formed = []
+        real = counting.factorial
+        monkeypatch.setattr(counting, "factorial", lambda k: formed.append(k) or real(k))
+        start = time.perf_counter()
+        assert divisor_sum_check(720, 10**6).ok
+        assert time.perf_counter() - start < 0.1
+        for m in range(1, 12):
+            assert divisor_sum_check(720, m).ok
+        assert max(formed) <= big_omega(720) + 1
+
+
+def divisor_sums(n, top):
+    """For m <= top: the sum of N_m(d) over d | n, and the same sum weighted
+    by mu(n/d), with every d listed and counted on its own."""
+    plain, weighted = [0] * (top + 1), [0] * (top + 1)
+    for d in divisors(n):
+        mu = mobius(n // d)
+        for m in range(top + 1):
+            count = count_m_part(d, m).value
+            plain[m] += count
+            weighted[m] += mu * count
+    return plain, weighted
+
+
+class TestShiftedKernel:
+    """Shift 1 and -1 of the kernel against sums over the divisor list."""
+
+    def test_every_n_to_2000(self):
+        for n in range(1, 2001):
+            signature, top = factorise(n).signature, big_omega(n) + 1
+            expected = divisor_sums(n, top)
+            assert [_n_m(signature, m, 1) for m in range(top + 1)] == expected[0], n
+            assert [_n_m(signature, m, -1) for m in range(top + 1)] == expected[1], n
+
+    @pytest.mark.parametrize("n", [30920671782000, 8677099422351360000])
+    def test_many_divisors(self, n):
+        # 11,520 and 17,160 divisors
+        signature = factorise(n).signature
+        plain, weighted = divisor_sums(n, 6)
+        assert [_n_m(signature, m, 1) for m in range(7)] == plain
+        assert [_n_m(signature, m, -1) for m in range(7)] == weighted
+
 
 class TestTwoDimFixedTuple:
     def test_frozen(self):
@@ -279,3 +376,38 @@ BAD_N_CALLS = {
 def test_bad_n_raises(name, n):
     with pytest.raises(ValueError):
         BAD_N_CALLS[name](n)
+
+
+# Every entry point that takes m, with the least m it accepts.  A float or a
+# bool equal to an int would share that int's cache entries.
+M_CALLS = {
+    "count_m_part": (count_m_part, 0),
+    "count_unordered": (count_unordered, 0),
+    "count_by_recurrence": (count_by_recurrence, 0),
+    "divisor_sum_check": (divisor_sum_check, 1),
+    "brute_force_count": (brute_force_count, 1),
+}
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, True], ids=repr)
+@pytest.mark.parametrize("name", list(M_CALLS))
+def test_m_must_be_an_int(name, m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        M_CALLS[name][0](12, m)
+
+
+@pytest.mark.parametrize("name", list(M_CALLS))
+def test_m_below_least_raises(name):
+    call, least = M_CALLS[name]
+    with pytest.raises(ValueError, match=f"m must be at least {least}"):
+        call(12, least - 1)
+    call(12, least)
+
+
+def test_order_of_n_and_m_checks():
+    # count_by_recurrence and brute_force_count check n first, the rest m first
+    n_first = ("count_by_recurrence", "brute_force_count")
+    for name, (call, _) in M_CALLS.items():
+        first = "expected a positive" if name in n_first else "m must"
+        with pytest.raises(ValueError, match=first):
+            call(0, 2.0)
