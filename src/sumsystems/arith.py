@@ -89,6 +89,16 @@ def _check_positive(n: int) -> int:
     return n
 
 
+def _check_index(value: int, least: int | None, name: str) -> None:
+    """The one rule for an index (m, j, length, r): exactly an int, at least
+    `least` unless that is None.  A float or a bool is refused, since
+    lru_cache keys 3.0 like 3 and True like 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 @lru_cache(maxsize=_SIGNATURE_CACHE)
 def factorise(n: int) -> PrimeFactorisation:
     """Trial-division factorisation of a positive integer up to 2**63 - 1."""
@@ -192,8 +202,7 @@ def convolve(f: ArithmeticFunction, g: ArithmeticFunction) -> ArithmeticFunction
 
 def convolution_power(f: ArithmeticFunction, j: int) -> ArithmeticFunction:
     """f convolved with itself j times; j = 0 gives the identity e."""
-    if j < 0:
-        raise ValueError("convolution powers need j >= 0")
+    _check_index(j, 0, "j")
     if j == 0:
         return E
     if j == 1:
@@ -258,8 +267,7 @@ def classical_divisor(j: int, n: int) -> int:
     it independent of the convolution machinery (d_j = 1^(*j) is a test
     cross-check, not the implementation).
     """
-    if j < 0:
-        raise ValueError("classical_divisor needs j >= 0")
+    _check_index(j, 0, "j")
     return _d(j, factorise(n).signature)
 
 
@@ -269,8 +277,6 @@ def nontrivial_divisor(j: int, n: int) -> int:
     Alternating binomial sum over classical divisor functions, from
     (1 - e)^(*j) expanded binomially.  Vanishes when j > Omega(n).
     """
-    if j < 0:
-        raise ValueError("nontrivial_divisor needs j >= 0")
     return associated_divisor(j, 0, n)
 
 
@@ -282,8 +288,8 @@ def associated_divisor(j: int, r: int, n: int) -> int:
     of which the first j are >= 2.  Vanishes when j > Omega(n), for every
     r, since (1-e)^(*j) is zero on every divisor of n.
     """
-    if j < 0:
-        raise ValueError("associated_divisor needs j >= 0")
+    _check_index(j, 0, "j")
+    _check_index(r, None, "r")
     pf = factorise(n)
     if j > pf.big_omega:
         return 0
@@ -296,8 +302,7 @@ def squarefree_ordered_count(length: int, n: int) -> int:
 
     The sign is (-1)**(Omega(n) + length); length = 0 gives e(n).
     """
-    if length < 0:
-        raise ValueError("squarefree_ordered_count needs length >= 0")
+    _check_index(length, 0, "length")
     pf = factorise(n)
     if length > pf.big_omega:
         return 0

@@ -10,15 +10,18 @@ forms are measured against.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
+from operator import add, mul
 
 from .arith import (
     _SIGNATURE_CACHE,
     _Record,
     _binomial_d_sum,
+    _check_index,
     _check_positive,
     big_omega,
     factorise,
@@ -63,15 +66,6 @@ class CountResult(namedtuple("CountResult", "value method"), _Record):
     __slots__ = ()
 
 
-def _check_m(m: int, least: int) -> None:
-    """The one rule for m: exactly an int, at least `least`.  A float or a
-    bool is refused, since lru_cache keys 3.0 like 3 and True like 1."""
-    if type(m) is not int:
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < least:
-        raise ValueError(f"m must be at least {least}")
-
-
 @lru_cache(maxsize=_SIGNATURE_CACHE)
 def _n_m(signature: tuple[int, ...], m: int, shift: int) -> int:
     """m! times the sum over L of S(L, m) ((e - mu)^(*L) * d_shift) at any n
@@ -94,7 +88,7 @@ def count_m_part(n: int, m: int) -> CountResult:
     m = 0 is the convention value: 1 at n = 1, else 0; it makes the
     divisor-sum identities uniform.
     """
-    _check_m(m, 0)
+    _check_index(m, 0, "m")
     return CountResult(_n_m(factorise(n).signature, m, 0), "closed-form")
 
 
@@ -108,40 +102,38 @@ def count_two_part(n: int) -> CountResult:
     return CountResult(total, "closed-form")
 
 
-@lru_cache(maxsize=_SIGNATURE_CACHE)
-def _proper_divisor_classes(
-    signature: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(signature of d, number of such d) over the proper divisors d of any
-    n with this signature.
-
-    Grown one prime at a time: d takes a of the prime's e copies, so no
-    divisor is formed or factorised.
-    """
-    classes: Counter = Counter({(): 1})
-    for e in signature:
-        grown: Counter = Counter()
+def _divisor_classes(signature: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{signature of d: number of such d} over the divisors d of any n with
+    this signature, n included.  Grown one prime at a time, smallest exponent
+    first, so no divisor is formed or factorised."""
+    classes = {(): 1}
+    for e in reversed(signature):
+        grown = {}
         for sub, count in classes.items():
-            for a in range(e + 1):
-                grown[tuple(sorted(sub + (a,), reverse=True)) if a else sub] += count
+            i = 0
+            for a in range(e, -1, -1):
+                while i < len(sub) and sub[i] > a:
+                    i += 1
+                key = sub[:i] + (a,) + sub[i:] if a else sub
+                grown[key] = grown.get(key, 0) + count
         classes = grown
-    classes[signature] -= 1  # d = n is not a proper divisor
-    return tuple((sub, count) for sub, count in classes.items() if count)
+    return classes
 
 
-# Unbounded on purpose: the recursion needs every (signature, m') entry below
-# one (signature, m) and revisits them from many classes.  The worst signature
-# below 2**63, (25, 10, 4, 2, 1, 1), needs 25,834 entries at m = 5 and 72,549 at
-# m = 21.  Bounded at 4,096, the LRU evicts entries the recursion still needs:
-# m = 5 did not finish in 200 s, against 14 s unbounded (Python 3.11, 2 CPUs).
-@lru_cache(maxsize=None)
-def _n_m_recurrence(signature: tuple[int, ...], m: int) -> int:
-    if m == 0:
-        return 0 if signature else 1
-    return sum(
-        count * ((m - 1) * _n_m_recurrence(sub, m) + m * _n_m_recurrence(sub, m - 1))
-        for sub, count in _proper_divisor_classes(signature)
-    )
+@lru_cache(maxsize=_SIGNATURE_CACHE)
+def _recurrence_row(signature: tuple[int, ...]) -> tuple[int, ...]:
+    """N_0 .. N_Omega at any n with this signature, from the divisor-sum
+    recurrence.  The divisor classes of n are walked smallest Omega first, so
+    a class's proper divisor classes have their rows when it is reached."""
+    rows = {(): [1]}
+    for sub in sorted(_divisor_classes(signature), key=sum)[1:]:
+        below = [0] * (sum(sub) + 1)  # sum of N_m(d) over the proper divisors d
+        for d, count in _divisor_classes(sub).items():
+            if d != sub:
+                row = rows[d]
+                below[: len(row)] = map(add, below, map(mul, row, repeat(count)))
+        rows[sub] = [0] + [(m - 1) * below[m] + m * below[m - 1] for m in range(1, len(below))]
+    return tuple(rows[signature])
 
 
 def count_by_recurrence(n: int, m: int) -> CountResult:
@@ -152,8 +144,9 @@ def count_by_recurrence(n: int, m: int) -> CountResult:
     weighted by its size, so no divisor of n is listed or factorised.
     """
     _check_positive(n)
-    _check_m(m, 0)
-    return CountResult(_n_m_recurrence(factorise(n).signature, m), "divisor-recurrence")
+    _check_index(m, 0, "m")
+    row = _recurrence_row(factorise(n).signature)
+    return CountResult(row[m] if m < len(row) else 0, "divisor-recurrence")
 
 
 def _m_m(signature: tuple[int, ...], m: int) -> int:
@@ -172,7 +165,7 @@ def _m_m(signature: tuple[int, ...], m: int) -> int:
 
 def count_unordered(n: int, m: int) -> CountResult:
     """m-part sum systems counted up to reordering the parts."""
-    _check_m(m, 0)
+    _check_index(m, 0, "m")
     return CountResult(_m_m(factorise(n).signature, m), "closed-form")
 
 
@@ -213,7 +206,7 @@ def divisor_sum_check(n: int, m: int) -> DivisorSumReport:
     divided by m! or (m - 1)!, which divide every term.  No divisor of n is
     listed or factorised.
     """
-    _check_m(m, 1)
+    _check_index(m, 1, "m")
     sig = factorise(n).signature
     if m > sum(sig) + 1:  # N_m and N_(m-1) vanish on every divisor
         return DivisorSumReport(n, m, 0, 0, 0, 0)
@@ -266,7 +259,7 @@ def brute_force_count(n: int, m: int, cap: int = DEFAULT_CAP) -> CountResult:
     tuple.  The independent oracle for count_m_part.
     """
     _check_positive(n)
-    _check_m(m, 1)
+    _check_index(m, 1, "m")
     total = 0
     for parts in ordered_factorisations(n, m):
         total += len(enumerate_jofs(parts, cap=cap))

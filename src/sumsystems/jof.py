@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .arith import _binomial_d_sum, _check_positive, factorise, nontrivial_divisors
+from .arith import _binomial_d_sum, _check_index, _check_positive, factorise, nontrivial_divisors
 
 Entry = tuple[int, int]
 Jof = tuple[Entry, ...]
@@ -164,8 +164,7 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
 def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
     """Ordered m-tuples of integers >= 2 with product n, ascending lex."""
     _check_positive(n)
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_index(m, 1, "m")
     if m == 1:
         return [(n,)] if n >= 2 else []
     out = []

@@ -375,3 +375,34 @@ class TestSquarefreeOrderedCount:
                 for length in range(1, big_omega(n) + 1)
             )
             assert total == 1
+
+
+# Every integer index of the divisor functions, as (argument, call with the
+# index as x, least accepted); r has no least.  A float or a bool used to
+# reach math.comb (TypeError) or be read as 0 or 1.
+INDEX_CALLS = {
+    "classical_divisor": ("j", lambda x: classical_divisor(x, 12), 0),
+    "nontrivial_divisor": ("j", lambda x: nontrivial_divisor(x, 12), 0),
+    "associated_divisor j": ("j", lambda x: associated_divisor(x, 1, 12), 0),
+    "associated_divisor r": ("r", lambda x: associated_divisor(1, x, 12), None),
+    "squarefree_ordered_count": ("length", lambda x: squarefree_ordered_count(x, 12), 0),
+    "convolution_power": ("j", lambda x: convolution_power(ONE, x), 0),
+}
+INDEX_CASES = [
+    (name, value, f"{arg} must be an integer, got {value!r}")
+    for name, (arg, _, _) in INDEX_CALLS.items()
+    for value in (2.0, 2.5, True)
+] + [
+    (name, least - 1, f"{arg} must be at least {least}")
+    for name, (arg, _, least) in INDEX_CALLS.items()
+    if least is not None
+]
+
+
+@pytest.mark.parametrize("name, value, message", INDEX_CASES, ids=repr)
+def test_index_must_be_an_int_at_least_its_least(name, value, message):
+    _, call, least = INDEX_CALLS[name]
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert str(caught.value) == message
+    call(-3 if least is None else least)

@@ -1,20 +1,11 @@
-"""Cache policy: every lru_cache in the package is bounded unless named here,
-and the Stirling table keeps only the totals a count can use."""
+"""Cache policy: every lru_cache in the package is bounded, and the Stirling
+table keeps only the totals a count can use."""
 
 import importlib
 import pkgutil
 
 import sumsystems
 from sumsystems import counting
-
-# Each unbounded cache, with the reason an LRU bound would not do.
-UNBOUNDED = {
-    # The recursion needs every (signature, m') entry below one (signature, m):
-    # the worst signature below 2**63, (25, 10, 4, 2, 1, 1), needs 25,834 at
-    # m = 5, and a 4,096-entry LRU evicts entries still needed, so m = 5 did
-    # not finish in 200 s (14 s unbounded).
-    "sumsystems.counting._n_m_recurrence",
-}
 
 
 def lru_caches():
@@ -32,11 +23,11 @@ def lru_caches():
     return found
 
 
-def test_every_cache_is_bounded_unless_named():
+def test_every_cache_is_bounded():
     caches = lru_caches()
-    assert UNBOUNDED <= set(caches)
+    assert "sumsystems.counting._recurrence_row" in caches  # the scan is not empty
     unbounded = {name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None}
-    assert unbounded == UNBOUNDED
+    assert unbounded == set()
 
 
 def test_stirling_table_stops_at_total_62():

@@ -1,7 +1,9 @@
 """Closed-form counts against the enumeration oracle and frozen values."""
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from sumsystems.arith import (
 from sumsystems.counting import (
     CountResult,
     _n_m,
-    _n_m_recurrence,
+    _recurrence_row,
     binomial_inversion,
     binomial_transform,
     brute_force_count,
@@ -140,14 +142,47 @@ class TestCountByRecurrence:
                 assert count_by_recurrence(n, m).value == divisor_recurrence(n, m), (n, m)
 
     def test_many_divisors_in_bounded_time(self):
-        # 2^4 3^3 5^3 7^2 11^2 13 17 19 23 has 11,520 divisors but needs only
-        # 1,526 memo entries over signature classes
+        # 2^4 3^3 5^3 7^2 11^2 13 17 19 23 has 11,520 divisors but only 203
+        # signature classes of them
         n = 30920671782000
-        _n_m_recurrence.cache_clear()
+        _recurrence_row.cache_clear()
         start = time.perf_counter()
         value = count_by_recurrence(n, 9).value
         assert time.perf_counter() - start < 5
         assert value == count_m_part(n, 9).value
+
+    @pytest.mark.parametrize(
+        "n",
+        [30920671782000, 5244319080000, 97772875200, 897612484786617600, 2**62,
+         614889782588491410],
+    )
+    def test_whole_row_matches_closed_form(self, n):
+        for m in range(big_omega(n) + 3):
+            assert count_by_recurrence(n, m).value == count_m_part(n, m).value, m
+
+    def test_one_pass_serves_every_m(self):
+        n = 5244319080000
+        _recurrence_row.cache_clear()
+        count_by_recurrence(n, 10)
+        for m in range(big_omega(n) + 3):
+            count_by_recurrence(n, m)
+        assert _recurrence_row.cache_info().misses == 1
+
+    def test_keeps_only_the_row(self):
+        # the class lists and the rows of n's divisor classes are freed on
+        # return; a memo over every (signature, m) kept about 5 MB here
+        n = 5244319080000
+        factorise(n)
+        _recurrence_row.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            count_by_recurrence(n, 10)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
     def test_method_label(self):
         assert count_by_recurrence(12, 2).method == "divisor-recurrence"
@@ -231,7 +266,7 @@ class TestDivisorSumIdentities:
         def refuse(*args):
             raise AssertionError("a divisor list was asked for")
 
-        monkeypatch.setattr(counting, "_proper_divisor_classes", refuse)
+        monkeypatch.setattr(counting, "_divisor_classes", refuse)
         monkeypatch.setattr(arith, "divisors", refuse)
         for n in (720, 30920671782000, 8677099422351360000):
             assert divisor_sum_check(n, 3).ok
@@ -386,6 +421,7 @@ M_CALLS = {
     "count_by_recurrence": (count_by_recurrence, 0),
     "divisor_sum_check": (divisor_sum_check, 1),
     "brute_force_count": (brute_force_count, 1),
+    "ordered_factorisations": (ordered_factorisations, 1),
 }
 
 
@@ -405,8 +441,9 @@ def test_m_below_least_raises(name):
 
 
 def test_order_of_n_and_m_checks():
-    # count_by_recurrence and brute_force_count check n first, the rest m first
-    n_first = ("count_by_recurrence", "brute_force_count")
+    # count_by_recurrence, brute_force_count and ordered_factorisations check
+    # n first, the rest m first
+    n_first = ("count_by_recurrence", "brute_force_count", "ordered_factorisations")
     for name, (call, _) in M_CALLS.items():
         first = "expected a positive" if name in n_first else "m must"
         with pytest.raises(ValueError, match=first):
