@@ -7,12 +7,14 @@ c_j with 1^(*r) (or with mu^(*|r|) when r is negative).  Convolution powers
 of e - mu count ordered factorisations into square-free non-trivial factors,
 up to sign; they drive the counting module.
 
-All of these are evaluated as short binomial sums of the generalised
-divisor function d_k(n) = prod over p^e || n of C(e + k - 1, e), which is
-defined for every integer k (d_k = 1^(*k) for k >= 0, mu^(*|k|) for k < 0)
-and depends only on the prime signature of n.  The convolution algebra
-(ArithmeticFunction, convolve, convolution_power) stays as the reference
-these sums are tested against.
+All of these are backward differences in k of the generalised divisor
+function d_k(n) = prod over p^e || n of C(e + k - 1, e), which is defined
+for every integer k (d_k = 1^(*k) for k >= 0, mu^(*|k|) for k < 0), is a
+polynomial of degree Omega(n) in k, and depends only on the prime signature
+of n.  One difference table per signature holds every L-th difference the
+counts read; a value at an arbitrary shift is a binomial sum of its own.
+The convolution algebra (ArithmeticFunction, convolve, convolution_power)
+stays as the reference these are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 from math import comb, isqrt
+from operator import sub
 
 # Domain cap: values beyond it are refused before any factorisation.  It
 # bounds the size of the numbers, not the time: trial division of a prime
@@ -169,21 +172,23 @@ class ArithmeticFunction:
     """Integer-valued function on the positive integers, memoised per instance.
 
     Instances form a commutative ring under pointwise + and Dirichlet
-    convolution; only the pieces needed here are implemented.
+    convolution; only the pieces needed here are implemented.  Each keeps
+    at most _SIGNATURE_CACHE values, dropping the oldest first.
     """
 
-    __slots__ = ("_rule", "name", "_cache", "_powers")
+    __slots__ = ("_rule", "name", "_cache")
 
     def __init__(self, rule: Callable[[int], int], name: str = "") -> None:
         self._rule = rule
         self.name = name
         self._cache: dict[int, int] = {}
-        self._powers: dict[int, "ArithmeticFunction"] = {}
 
     def __call__(self, n: int) -> int:
         _check_positive(n)
         cached = self._cache.get(n)
         if cached is None:
+            if len(self._cache) >= _SIGNATURE_CACHE:
+                del self._cache[next(iter(self._cache))]
             cached = self._cache[n] = self._rule(n)
         return cached
 
@@ -201,32 +206,35 @@ def convolve(f: ArithmeticFunction, g: ArithmeticFunction) -> ArithmeticFunction
 
 
 def convolution_power(f: ArithmeticFunction, j: int) -> ArithmeticFunction:
-    """f convolved with itself j times; j = 0 gives the identity e."""
+    """f convolved with itself j times; j = 0 gives the identity e.  A value
+    takes O(log j) convolutions over the divisors of n."""
     _check_index(j, 0, "j")
     if j == 0:
         return E
     if j == 1:
         return f
-    # f._powers holds the powers 2, 3, ... without gaps
-    for k in range(len(f._powers) + 2, j + 1):
-        f._powers[k] = ArithmeticFunction(
-            lambda n, k=k: _power_value(f, k, n), name=f"{f.name}^(*{k})"
-        )
-    return f._powers[j]
+    return ArithmeticFunction(lambda n: _power_value(f, j, n), name=f"{f.name}^(*{j})")
 
 
 def _power_value(f: ArithmeticFunction, j: int, n: int) -> int:
-    """f^(*j)(n), filling f^(*2) .. f^(*j) at every divisor of n bottom-up,
-    so that no evaluation waits on more than one lower power (a recursive
-    chain would be j calls deep)."""
-    lower = f
-    for k in range(2, j + 1):
-        power = f._powers[k]
-        for d in divisors(n):
-            if d not in power._cache:
-                power._cache[d] = sum(f(a) * lower(d // a) for a in divisors(d))
-        lower = power
-    return lower._cache[n]
+    """f^(*j)(n) by repeated squaring.  Every square and product is a table
+    over the divisors of n, filled bottom-up, so the call depth does not
+    grow with j and the number of convolutions grows as log j."""
+    divs = divisors(n)
+    square = {d: f(d) for d in divs}  # f^(*2^i) on the divisors of n
+    out = None
+    while True:
+        if j & 1:
+            out = square if out is None else _convolve_on(out, square, divs)
+        j >>= 1
+        if not j:
+            return out[n]
+        square = _convolve_on(square, square, divs)
+
+
+def _convolve_on(f: dict[int, int], g: dict[int, int], divs: tuple[int, ...]) -> dict[int, int]:
+    """f * g on divs, the divisors of some n, from f and g tabled there."""
+    return {d: sum(f[a] * g[d // a] for a in divisors(d)) for d in divs}
 
 
 E = ArithmeticFunction(lambda n: 1 if n == 1 else 0, name="e")
@@ -258,6 +266,26 @@ def _binomial_d_sum(j: int, shift: int, signature: tuple[int, ...]) -> int:
     Equivalently (e - mu)^(*j) * d_shift, so shift 0 is the signed
     square-free count (e - mu)^(*j) on the signature."""
     return sum((-1) ** i * comb(j, i) * _d(shift - i, signature) for i in range(j + 1))
+
+
+# Filled with the 1,024 signatures of n < 2**63 with the largest Omega, this
+# cache holds 4.7 MB (19 MB at 4,096 entries), so it keeps a quarter of the
+# shared bound; a count's working set is a few dozen signatures.
+@lru_cache(maxsize=_SIGNATURE_CACHE // 4)
+def _difference_table(signature: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The backward differences nabla^L d at -1, 0, 1 and at L itself, each
+    for L = 0 .. Omega: the first three equal _binomial_d_sum(L, s, signature)
+    for s = -1, 0, 1, the last is c_L.  d_k is a polynomial of degree Omega
+    in k, so every difference past Omega is 0."""
+    omega = sum(signature)
+    # nabla^L d(k) for k = L - omega - 1 .. omega + 1, at index k + omega + 1 - L
+    level = [_d(k, signature) for k in range(-omega - 1, omega + 2)]
+    rows = []
+    for length in range(omega + 1):
+        i = omega - length  # k = -1
+        rows.append((level[i], level[i + 1], level[i + 2], level[omega + 1]))
+        level = list(map(sub, level[1:], level))
+    return tuple(zip(*rows))
 
 
 def classical_divisor(j: int, n: int) -> int:
@@ -303,7 +331,5 @@ def squarefree_ordered_count(length: int, n: int) -> int:
     The sign is (-1)**(Omega(n) + length); length = 0 gives e(n).
     """
     _check_index(length, 0, "length")
-    pf = factorise(n)
-    if length > pf.big_omega:
-        return 0
-    return _binomial_d_sum(length, 0, pf.signature)
+    row = _difference_table(factorise(n).signature)[1]
+    return row[length] if length < len(row) else 0

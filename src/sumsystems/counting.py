@@ -13,19 +13,17 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, product, repeat
 from math import comb, factorial
 from operator import add, mul
 
 from .arith import (
     _SIGNATURE_CACHE,
     _Record,
-    _binomial_d_sum,
     _check_index,
     _check_positive,
-    big_omega,
+    _difference_table,
     factorise,
-    nontrivial_divisor,
 )
 from .jof import DEFAULT_CAP, enumerate_jofs, ordered_factorisations
 
@@ -38,8 +36,8 @@ def stirling2(total: int, blocks: int) -> int:
     `blocks` non-empty blocks.  Rows up to total 62 are grown and cached;
     a larger total sweeps the band S(b + d, b), d <= total - blocks, alone.
     """
-    if total < 0 or blocks < 0:
-        raise ValueError("stirling2 needs non-negative arguments")
+    _check_index(total, 0, "total")
+    _check_index(blocks, 0, "blocks")
     if blocks > total:
         return 0
     if total > _STIRLING_TOP:
@@ -48,7 +46,12 @@ def stirling2(total: int, blocks: int) -> int:
             for d in range(1, len(band)):
                 band[d] = b * band[d - 1] + band[d]
         return band[-1]
-    while len(_stirling_rows) <= total:
+    return _stirling_table(total)[total][blocks]
+
+
+def _stirling_table(top: int) -> list[list[int]]:
+    """The rows S(total, .) for every total <= top <= 62, grown on first use."""
+    while len(_stirling_rows) <= top:
         prev = _stirling_rows[-1]
         length = len(_stirling_rows)
         row = [0] * (length + 1)
@@ -56,7 +59,7 @@ def stirling2(total: int, blocks: int) -> int:
             above = prev[k] if k < length else 0
             row[k] = k * above + prev[k - 1]
         _stirling_rows.append(row)
-    return _stirling_rows[total][blocks]
+    return _stirling_rows
 
 
 class CountResult(namedtuple("CountResult", "value method"), _Record):
@@ -76,10 +79,8 @@ def _n_m(signature: tuple[int, ...], m: int, shift: int) -> int:
     omega = sum(signature)
     if m > omega:
         return 0
-    return factorial(m) * sum(
-        stirling2(length, m) * _binomial_d_sum(length, shift, signature)
-        for length in range(m, omega + 1)
-    )
+    rows, series = _stirling_table(omega), _difference_table(signature)[shift + 1]
+    return factorial(m) * sum(rows[length][m] * series[length] for length in range(m, omega + 1))
 
 
 def count_m_part(n: int, m: int) -> CountResult:
@@ -95,45 +96,61 @@ def count_m_part(n: int, m: int) -> CountResult:
 def count_two_part(n: int) -> CountResult:
     """Two-part count as twice the sum of c_L(n) over 2 <= L <= Omega(n).
 
-    Deliberately routed through the multiplicative c_L formula rather than
-    the Stirling sum, so the two agree only if both are right.
+    Deliberately read from the c_L diagonal of the difference table rather
+    than the Stirling sum, so the two agree only if both are right.
     """
-    total = 2 * sum(nontrivial_divisor(length, n) for length in range(2, big_omega(n) + 1))
-    return CountResult(total, "closed-form")
+    diagonal = _difference_table(factorise(n).signature)[3]
+    return CountResult(2 * sum(diagonal[2:]), "closed-form")
 
 
-def _divisor_classes(signature: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """{signature of d: number of such d} over the divisors d of any n with
-    this signature, n included.  Grown one prime at a time, smallest exponent
-    first, so no divisor is formed or factorised."""
-    classes = {(): 1}
+def _divisor_classes(signature: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The signatures of the divisors of any n with this signature, n
+    included.  Grown one prime at a time, smallest exponent first, so no
+    divisor is formed or factorised."""
+    classes = {()}
     for e in reversed(signature):
-        grown = {}
-        for sub, count in classes.items():
+        grown = set()
+        for sub in classes:
             i = 0
             for a in range(e, -1, -1):
                 while i < len(sub) and sub[i] > a:
                     i += 1
-                key = sub[:i] + (a,) + sub[i:] if a else sub
-                grown[key] = grown.get(key, 0) + count
+                grown.add(sub[:i] + (a,) + sub[i:] if a else sub)
         classes = grown
     return classes
+
+
+def _prime_set_quotients(signature: tuple[int, ...]):
+    """(signature of n / prod(S), (-1)**(|S| + 1) times the number of such S)
+    over the non-empty sets S of primes of an n with this signature.  S
+    takes k of the c primes of each exponent a, in C(c, k) ways; as the
+    exponents descend, so does the quotient's signature."""
+    runs = [(a, signature.count(a)) for a in sorted(set(signature), reverse=True)]
+    for taken in islice(product(*(range(c + 1) for _, c in runs)), 1, None):
+        quotient, weight = [], -1
+        for (a, c), k in zip(runs, taken):
+            quotient += [a] * (c - k) + [a - 1] * (k if a > 1 else 0)
+            weight *= (-1) ** k * comb(c, k)
+        yield tuple(quotient), weight
 
 
 @lru_cache(maxsize=_SIGNATURE_CACHE)
 def _recurrence_row(signature: tuple[int, ...]) -> tuple[int, ...]:
     """N_0 .. N_Omega at any n with this signature, from the divisor-sum
-    recurrence.  The divisor classes of n are walked smallest Omega first, so
-    a class's proper divisor classes have their rows when it is reached."""
-    rows = {(): [1]}
+    recurrence.  The divisor classes of n are walked smallest Omega first,
+    each keeping the sum of N over all of its divisors.  The proper divisors
+    of n are those of the n/p, p | n, so their sum is, by inclusion-exclusion,
+    the signed sum of those totals at n / prod(S) over prime sets S."""
+    row = [1]
+    totals = {(): row}  # sum of N_m(d) over every d | n, by n's signature
     for sub in sorted(_divisor_classes(signature), key=sum)[1:]:
         below = [0] * (sum(sub) + 1)  # sum of N_m(d) over the proper divisors d
-        for d, count in _divisor_classes(sub).items():
-            if d != sub:
-                row = rows[d]
-                below[: len(row)] = map(add, below, map(mul, row, repeat(count)))
-        rows[sub] = [0] + [(m - 1) * below[m] + m * below[m - 1] for m in range(1, len(below))]
-    return tuple(rows[signature])
+        for quotient, weight in _prime_set_quotients(sub):
+            total = totals[quotient]
+            below[: len(total)] = map(add, below, map(mul, total, repeat(weight)))
+        row = [0] + [(m - 1) * below[m] + m * below[m - 1] for m in range(1, len(below))]
+        totals[sub] = list(map(add, row, below))
+    return tuple(row)
 
 
 def count_by_recurrence(n: int, m: int) -> CountResult:
@@ -234,11 +251,8 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
     This is a fixed-tuple count; it is not half of the all-tuples two-part
     count for n^2 (at n = 4 they are 3 and 7).
     """
-    total = 0
-    for j in range(1, big_omega(n) + 1):
-        cj = nontrivial_divisor(j, n)
-        total += cj * cj + cj * nontrivial_divisor(j + 1, n)
-    return CountResult(total, "closed-form")
+    c = _difference_table(factorise(n).signature)[3][1:] + (0,)  # c_1 .. c_(Omega+1)
+    return CountResult(sum(a * a + a * b for a, b in zip(c, c[1:])), "closed-form")
 
 
 def binomial_transform(seq: Sequence[int]) -> list[int]:

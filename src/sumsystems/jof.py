@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from math import comb
 
-from .arith import _binomial_d_sum, _check_index, _check_positive, factorise, nontrivial_divisors
+from .arith import _check_index, _check_positive, _difference_table, factorise, nontrivial_divisors
 
 Entry = tuple[int, int]
 Jof = tuple[Entry, ...]
@@ -185,21 +185,22 @@ def count_for_tuple(parts) -> int:
     convolution acc'(L) = sum over a of C(L, a) acc(a) s_j(L - a).  The
     count is the sum of the product's coefficients.  The binomial weight
     matters: without it (2, 6) would count 1 instead of the correct 4.
+
+    s_j(l) is non-zero exactly for l from n_j's largest prime exponent to
+    Omega(n_j), as no square-free factor holds a prime twice; a prime power
+    gives one term.
     """
     parts = _check_parts(parts)
     acc = [1]
     for n in parts:
-        pf = factorise(n)
-        series = [
-            _binomial_d_sum(length, 0, pf.signature)
-            for length in range(pf.big_omega + 1)
-        ]
-        step = [0] * (len(acc) + len(series) - 1)
+        signature = factorise(n).signature
+        omega = sum(signature)
+        series = _difference_table(signature)[1]
+        step = [0] * (len(acc) + omega)
         for a, x in enumerate(acc):
             if x:
-                for length, s in enumerate(series):
-                    if s:
-                        step[a + length] += comb(a + length, a) * x * s
+                for length in range(signature[0], omega + 1):
+                    step[a + length] += comb(a + length, a) * x * series[length]
         acc = step
     return sum(acc)
 

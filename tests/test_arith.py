@@ -1,6 +1,7 @@
 """Divisor-function algebra against naive oracles and frozen values."""
 
 import random
+import time
 from math import comb, gcd
 
 import pytest
@@ -12,6 +13,8 @@ from sumsystems.arith import (
     ONE,
     ONE_MINUS_E,
     ArithmeticFunction,
+    _binomial_d_sum,
+    _difference_table,
     associated_divisor,
     big_omega,
     classical_divisor,
@@ -25,6 +28,7 @@ from sumsystems.arith import (
     nontrivial_divisors,
     squarefree_ordered_count,
 )
+from sumsystems.counting import stirling2
 
 from oracles import (
     count_first_block_nontrivial,
@@ -155,6 +159,15 @@ class TestConvolution:
     def test_deep_power_does_not_recurse(self):
         assert convolution_power(ONE, 3000)(12) == classical_divisor(3000, 12)
         assert convolution_power(MU, 2500)(12) == generalised_d(-2500, 12)
+
+    @pytest.mark.parametrize("j", [2, 3, 7, 10**6, 2**100 - 1, 10**80])
+    def test_power_by_squaring_in_bounded_time(self, j):
+        start = time.perf_counter()
+        for n in (1, 12, 720, 30030):
+            assert convolution_power(ONE, j)(n) == classical_divisor(j, n), n
+            assert convolution_power(MU, j)(n) == generalised_d(-j, n), n
+        assert time.perf_counter() - start < 2
+        assert convolution_power(ONE, j).name == f"1^(*{j})"
 
     def test_memoisation_calls_rule_once(self):
         calls = []
@@ -377,9 +390,10 @@ class TestSquarefreeOrderedCount:
             assert total == 1
 
 
-# Every integer index of the divisor functions, as (argument, call with the
-# index as x, least accepted); r has no least.  A float or a bool used to
-# reach math.comb (TypeError) or be read as 0 or 1.
+# Every integer index of the divisor functions and of stirling2, as
+# (argument, call with the index as x, least accepted); r has no least.  A
+# float or a bool used to reach math.comb (TypeError) or a list index, or be
+# read as 0 or 1.
 INDEX_CALLS = {
     "classical_divisor": ("j", lambda x: classical_divisor(x, 12), 0),
     "nontrivial_divisor": ("j", lambda x: nontrivial_divisor(x, 12), 0),
@@ -387,6 +401,8 @@ INDEX_CALLS = {
     "associated_divisor r": ("r", lambda x: associated_divisor(1, x, 12), None),
     "squarefree_ordered_count": ("length", lambda x: squarefree_ordered_count(x, 12), 0),
     "convolution_power": ("j", lambda x: convolution_power(ONE, x), 0),
+    "stirling2 total": ("total", lambda x: stirling2(x, 1), 0),
+    "stirling2 blocks": ("blocks", lambda x: stirling2(3, x), 0),
 }
 INDEX_CASES = [
     (name, value, f"{arg} must be an integer, got {value!r}")
@@ -406,3 +422,39 @@ def test_index_must_be_an_int_at_least_its_least(name, value, message):
         call(value)
     assert str(caught.value) == message
     call(-3 if least is None else least)
+
+
+def table_entry(row, length):
+    """A table row read as its readers read it: 0 past Omega."""
+    return row[length] if length < len(row) else 0
+
+
+def check_difference_table(n):
+    signature, omega = factorise(n).signature, big_omega(n)
+    table = _difference_table(signature)
+    assert [len(row) for row in table] == [omega + 1] * 4
+    for length in range(omega + 2):
+        for shift in (-1, 0, 1):
+            expected = _binomial_d_sum(length, shift, signature)
+            assert table_entry(table[shift + 1], length) == expected, (n, length, shift)
+        assert table_entry(table[3], length) == associated_divisor(length, 0, n), (n, length)
+    # the square-free series is non-zero exactly from the largest exponent
+    # to Omega, which count_for_tuple relies on
+    least = signature[0] if signature else 0
+    assert [length for length, s in enumerate(table[1]) if s] == list(range(least, omega + 1))
+
+
+class TestDifferenceTable:
+    """The per-signature table against the binomial sums at each value."""
+
+    def test_every_n_to_2000(self):
+        for n in range(1, 2001):
+            check_difference_table(n)
+
+    @pytest.mark.parametrize(
+        "n",
+        [30920671782000, 5244319080000, 97772875200, 897612484786617600, 2**62,
+         614889782588491410, 8677099422351360000],
+    )
+    def test_large_n(self, n):
+        check_difference_table(n)

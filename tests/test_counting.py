@@ -1,9 +1,13 @@
 """Closed-form counts against the enumeration oracle and frozen values."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,20 @@ class TestCountByRecurrence:
     def test_method_label(self):
         assert count_by_recurrence(12, 2).method == "divisor-recurrence"
 
+    def test_worst_signature_in_bounded_time(self):
+        # 2^25 3^10 5^4 7^2 11 13: 4,334 divisor classes; summing each class's
+        # rows over its proper divisor classes took 2.5 M terms
+        code = (
+            "from sumsystems import count_by_recurrence, count_m_part\n"
+            "n = 8677099422351360000\n"
+            "for m in range(46):\n"
+            "    assert count_by_recurrence(n, m).value == count_m_part(n, m).value, m\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(counting.__file__).parents[1]))
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        assert time.perf_counter() - start < 10
+
 
 class TestCountUnordered:
     def test_frozen(self):
@@ -272,8 +290,9 @@ class TestDivisorSumIdentities:
             assert divisor_sum_check(n, 3).ok
 
     def test_a_wrong_stirling_number_is_caught(self, monkeypatch):
-        real = counting.stirling2
-        monkeypatch.setattr(counting, "stirling2", lambda t, b: real(t, b) + ((t, b) == (3, 2)))
+        wrong = [list(row) for row in counting._stirling_table(62)]
+        wrong[3][2] += 1
+        monkeypatch.setattr(counting, "_stirling_table", lambda top: wrong)
         _n_m.cache_clear()
         try:
             failed = [
@@ -290,11 +309,20 @@ class TestDivisorSumIdentities:
     def test_worst_signature_every_m_from_cold(self):
         # 2^25 3^10 5^4 7^2 11 13: 17,160 divisors, Omega = 43
         n = 8677099422351360000
-        for cache in (_n_m, arith._binomial_d_sum, arith._d):
+        for cache in (_n_m, arith._difference_table, arith._binomial_d_sum, arith._d):
             cache.cache_clear()
         start = time.perf_counter()
         assert all(divisor_sum_check(n, m).ok for m in range(1, big_omega(n) + 2))
         assert time.perf_counter() - start < 2
+
+    def test_one_table_per_signature(self):
+        n = 8677099422351360000
+        for cache in (_n_m, arith._difference_table):
+            cache.cache_clear()
+        for m in range(big_omega(n) + 2):
+            count_m_part(n, m)
+            assert divisor_sum_check(n, m + 1).ok
+        assert arith._difference_table.cache_info().currsize == 1
 
     def test_huge_m_forms_no_huge_factorial(self, monkeypatch):
         formed = []

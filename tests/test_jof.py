@@ -234,6 +234,13 @@ class TestCountForTuple:
             parts = tuple(rng.randrange(2, 257) for _ in range(rng.randrange(1, 6)))
             assert count_for_tuple(parts) == cartesian_tuple_count(parts), parts
 
+    def test_matches_cartesian_sum_exhaustively(self):
+        # every part's series is read from its largest exponent to Omega only
+        pairs = [(a, b) for a in range(2, 37) for b in range(2, 37)]
+        triples = [(a, b, c) for a in range(2, 17) for b in range(2, 17) for c in range(2, 17)]
+        for parts in pairs + triples:
+            assert count_for_tuple(parts) == cartesian_tuple_count(parts), parts
+
     def test_frozen_large(self):
         # 8**6 vectors on the cartesian route; the EGF product takes six steps
         assert count_for_tuple((256,) * 6) == 2889253496242619386328267523990000
