@@ -207,13 +207,15 @@ def convolve(f: ArithmeticFunction, g: ArithmeticFunction) -> ArithmeticFunction
 
 def convolution_power(f: ArithmeticFunction, j: int) -> ArithmeticFunction:
     """f convolved with itself j times; j = 0 gives the identity e.  A value
-    takes O(log j) convolutions over the divisors of n."""
+    takes O(log j) convolutions over the divisors of n.  A j >= 2**1024 is
+    named in hex, as decimal is quadratic and capped at 4300 digits."""
     _check_index(j, 0, "j")
     if j == 0:
         return E
     if j == 1:
         return f
-    return ArithmeticFunction(lambda n: _power_value(f, j, n), name=f"{f.name}^(*{j})")
+    shown = j if j < 2**1024 else hex(j)
+    return ArithmeticFunction(lambda n: _power_value(f, j, n), name=f"{f.name}^(*{shown})")
 
 
 def _power_value(f: ArithmeticFunction, j: int, n: int) -> int:

@@ -131,9 +131,11 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
 
     Depth-first over entries: at each position the open parts other than the
     one just used are tried in ascending order, each with its factors >= 2
-    ascending.  Raises CapExceeded rather than truncating.
+    ascending.  Raises CapExceeded up front when count_for_tuple passes cap.
     """
     parts = _check_parts(parts)
+    if count_for_tuple(parts) > cap:
+        raise CapExceeded(cap)
     m = len(parts)
     residues = list(parts)
     out: list[Jof] = []
@@ -141,8 +143,6 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
     # open = parts whose residue is still > 1
     def extend(last: int, open_count: int) -> None:
         if open_count == 0:
-            if len(out) >= cap:
-                raise CapExceeded(cap)
             out.append(tuple(entries))
             return
         for j in range(m):

@@ -6,14 +6,14 @@ Centring shifts each component to be symmetric about 0; the shifted values
 are half-integers whenever max A_j is odd, so centred components are stored
 as doubled integers (2a - max A_j), which keeps everything exact.
 
-SumSystem, CentredSumSystem and SumAndDistanceSystem are immutable values:
-equal when of the same class with equal fields (a SumSystem never equals a
-CentredSumSystem), hashed as the tuple of their fields, and they raise
-AttributeError on assignment; they pickle and deepcopy as values.
+SumSystem, CentredSumSystem and SumAndDistanceSystem are named tuples over
+arith._Record, which gives them the records' value semantics (a SumSystem
+never equals a CentredSumSystem).
 
-The public constructors own every per-value rule, each checked once over
-whole tuples: first that every value of every component is an int (booleans
-are not), then order, sign, symmetry and parity per component.
+The public constructors own every per-value rule, and _make, so _replace
+too, goes through them.  Each rule is checked once over whole tuples: first
+that every value of every component is an int (booleans are not), then
+order, sign, symmetry and parity per component.
 
 Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
@@ -21,10 +21,10 @@ F(l) * {0, ..., f_l - 1} to its part's component.  _blow_up is the one
 construction path: build_centred is the doubled image (2a - max A_j) of its
 components, the same map centre applies.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
-they skip the checks of the public constructors (centre keeps one, since its
-input may be any valid SumSystem).  Verification still never trusts
-construction: it checks every component, then proves the system genuine by a
-certificate or by the full Minkowski fold.
+they create it with tuple.__new__, skipping the checks of the public
+constructors (centre keeps one, since its input may be any valid SumSystem).
+Verification still never trusts construction: it checks every component,
+then proves the system genuine by a certificate or by the Minkowski fold.
 
 The certificate is the system's JOF, read back from the components
 (jof_of_system, the inverse of build_sum_system).  A reading is accepted
@@ -51,11 +51,13 @@ sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 from __future__ import annotations
 
 # module-level: importing it inside tau_c cost 1.3-1.8 us a call
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import prod
 from operator import lt, mul, neg
 
+from .arith import _Record
 from .jof import Jof, _checked_jof
 
 Verdict = tuple[bool, "str | None"]
@@ -82,47 +84,17 @@ def _symmetric(comp: tuple[int, ...]) -> bool:
     return comp == tuple(map(neg, reversed(comp)))
 
 
-class _Frozen:
-    """Value semantics of the system classes, whose fields, in constructor
-    order, are __match_args__: equal only to an instance of the same class
-    with equal fields, hashed as the tuple of the fields, and closed to
-    assignment and deletion."""
-
-    __match_args__: tuple[str, ...] = ("components",)
-
-    @classmethod
-    def _trusted(cls, components, **fields):
-        """An instance with these fields, skipping __init__: only for
-        values (components as tuples of tuples) that the validating
-        constructor would accept unchanged."""
-        self = object.__new__(cls)
-        self.__dict__.update(fields, components=components)
-        return self
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._values())
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+@classmethod
+def _checked_make(cls, iterable):
+    """The _make of each system class: through its validating constructor,
+    so that _replace, which calls _make, checks the new fields too."""
+    return cls(*iterable)
 
 
-class _Components(_Frozen):
+class _Components(_Record):
     """Shared shape of the plain and centred systems: N and cardinalities."""
+
+    __slots__ = ()
 
     @property
     def N(self) -> int:
@@ -133,10 +105,13 @@ class _Components(_Frozen):
         return tuple(map(len, self.components))
 
 
-class SumSystem(_Components):
+class SumSystem(namedtuple("SumSystem", "components"), _Components):
     """Components of a (candidate) sum system, each sorted ascending."""
 
-    def __init__(self, components) -> None:
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, components):
         comps = _int_components(components)
         if not comps:
             raise ValueError("a sum system needs at least one component")
@@ -144,17 +119,20 @@ class SumSystem(_Components):
             _check_sorted_strict(comp)
             if comp[0] < 0:
                 raise ValueError("sum system values must be non-negative")
-        self.__dict__["components"] = comps
+        return tuple.__new__(cls, (comps,))
 
 
-class CentredSumSystem(_Components):
+class CentredSumSystem(namedtuple("CentredSumSystem", "components"), _Components):
     """Centred components stored as doubled integers (2a - max A_j).
 
     Each stored component is symmetric about 0 and all of its values share
     one parity; odd stored values mean the true component is half-integral.
     """
 
-    def __init__(self, components) -> None:
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, components):
         comps = _int_components(components)
         if not comps:
             raise ValueError("a centred sum system needs at least one component")
@@ -165,7 +143,7 @@ class CentredSumSystem(_Components):
             # v & 1 is 1 for odd v, negative ones too: none or all may be odd
             if sum(map((1).__and__, comp)) not in (0, len(comp)):
                 raise ValueError("values within a centred component must share parity")
-        self.__dict__["components"] = comps
+        return tuple.__new__(cls, (comps,))
 
     @property
     def half_integer(self) -> tuple[bool, ...]:
@@ -173,7 +151,9 @@ class CentredSumSystem(_Components):
         return tuple(bool(c[0] & 1) for c in self.components)
 
 
-class SumAndDistanceSystem(_Frozen):
+class SumAndDistanceSystem(
+    namedtuple("SumAndDistanceSystem", "N components even_parts odd_parts"), _Record
+):
     """Positive halves of a centred system, doubled, with parity classes.
 
     Parts in even_parts have even cardinality in the originating system
@@ -181,9 +161,10 @@ class SumAndDistanceSystem(_Frozen):
     (n_j = 2|B_j| + 1).  Indices are 1-based.
     """
 
-    __match_args__ = ("N", "components", "even_parts", "odd_parts")
+    __slots__ = ()
+    _make = _checked_make
 
-    def __init__(self, N, components, even_parts, odd_parts) -> None:
+    def __new__(cls, N, components, even_parts, odd_parts):
         comps = _int_components(components)
         if not comps:
             raise ValueError("a sum-and-distance system needs at least one component")
@@ -194,17 +175,12 @@ class SumAndDistanceSystem(_Frozen):
         even_parts, odd_parts = tuple(even_parts), tuple(odd_parts)
         if not {int}.issuperset(map(type, (N, *even_parts, *odd_parts))):
             raise ValueError("N and part indices must be integers")
-        m = len(comps)
-        if sorted(even_parts + odd_parts) != list(range(1, m + 1)):
+        if sorted(even_parts + odd_parts) != list(range(1, len(comps) + 1)):
             raise ValueError("parity classes must partition parts 1..m")
-        n = 1
-        for j, comp in enumerate(comps, start=1):
-            n *= 2 * len(comp) + (1 if j in odd_parts else 0)
-        if n != N:
+        # n_j = 2|B_j|, plus 1 (the bool j in odd_parts) for an odd part's 0
+        if prod(2 * len(b) + (j in odd_parts) for j, b in enumerate(comps, start=1)) != N:
             raise ValueError("cardinalities are inconsistent with N")
-        self.__dict__.update(
-            N=N, components=comps, even_parts=even_parts, odd_parts=odd_parts
-        )
+        return tuple.__new__(cls, (N, comps, even_parts, odd_parts))
 
 
 def _blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:
@@ -226,7 +202,7 @@ def build_sum_system(jof) -> SumSystem:
     entries, Minkowski-added.  Components come out sorted.
     """
     jof, products = _checked_jof(jof)
-    return SumSystem._trusted(_blow_up(jof, len(products)))
+    return tuple.__new__(SumSystem, (_blow_up(jof, len(products)),))
 
 
 def _read_jof(components) -> Jof | None:
@@ -293,7 +269,7 @@ def build_centred(jof) -> CentredSumSystem:
     equal to centre(build_sum_system(jof)).  A plain component built from
     a JOF is palindromic, so its image is symmetric about 0."""
     jof, products = _checked_jof(jof)
-    return CentredSumSystem._trusted(tuple(map(_doubled, _blow_up(jof, len(products)))))
+    return tuple.__new__(CentredSumSystem, (tuple(map(_doubled, _blow_up(jof, len(products)))),))
 
 
 def centre(system: SumSystem) -> CentredSumSystem:
@@ -307,27 +283,34 @@ def centre(system: SumSystem) -> CentredSumSystem:
     comps = tuple(map(_doubled, system.components))
     if not all(map(_symmetric, comps)):
         raise ValueError("centred components must be symmetric about 0")
-    return CentredSumSystem._trusted(comps)
+    return tuple.__new__(CentredSumSystem, (comps,))
 
 
 def to_sum_and_distance(centred: CentredSumSystem) -> SumAndDistanceSystem:
     """Keep the positive values of each centred component (still doubled):
     the upper half, past the middle 0 of an odd-sized one."""
-    comps = []
-    even_parts = []
-    odd_parts = []
+    comps, even_parts, odd_parts = [], [], []
     for j, comp in enumerate(centred.components, start=1):
         positives = comp[(len(comp) + 1) // 2:]
         if not positives:
             raise ValueError(f"component {j} has no positive values")
         comps.append(positives)
-        if len(comp) % 2 == 0:
-            even_parts.append(j)
-        else:
-            odd_parts.append(j)
-    return SumAndDistanceSystem._trusted(
-        tuple(comps), N=centred.N, even_parts=tuple(even_parts), odd_parts=tuple(odd_parts)
+        (odd_parts if len(comp) % 2 else even_parts).append(j)
+    return tuple.__new__(
+        SumAndDistanceSystem, (centred.N, tuple(comps), tuple(even_parts), tuple(odd_parts))
     )
+
+
+def from_sum_and_distance(system: SumAndDistanceSystem) -> CentredSumSystem:
+    """The centred system that to_sum_and_distance halves, its inverse: an
+    even part is -reverse(B) followed by B, an odd part has a 0 between.
+    Not trusted, as halves may not make one (an odd part's 0 is even): the
+    centred constructor raises ValueError then."""
+    odd = set(system.odd_parts)
+    return CentredSumSystem([
+        (*map(neg, reversed(half)), *((0,) if j in odd else ()), *half)
+        for j, half in enumerate(system.components, start=1)
+    ])
 
 
 def minkowski_sum(a, b) -> tuple[tuple[int, ...], bool]:
@@ -523,14 +506,14 @@ def system_from_json(doc) -> "SumSystem | CentredSumSystem":
     """Parse a system document, checking shape and the stated N; the
     system's constructor checks the values.
 
-    Sum-and-distance documents (those with parity-class keys) are not
-    loadable; they describe half a system.
+    A sum-and-distance document (one with parity-class keys) loads as the
+    centred system it halves, through from_sum_and_distance.
     """
     if not isinstance(doc, dict):
         raise ValueError("system document must be a JSON object")
-    if "even_parts" in doc or "odd_parts" in doc:
-        raise ValueError("sum-and-distance documents cannot be loaded back")
-    for key in ("N", "components", "doubled"):
+    halves = "even_parts" in doc or "odd_parts" in doc
+    keys = ("N", "components", "doubled") + (("even_parts", "odd_parts") if halves else ())
+    for key in keys:
         if key not in doc:
             raise ValueError(f"system document lacks {key!r}")
     n, comps, doubled = doc["N"], doc["components"], doc["doubled"]
@@ -540,7 +523,15 @@ def system_from_json(doc) -> "SumSystem | CentredSumSystem":
         raise ValueError("doubled must be a boolean")
     if not isinstance(comps, list) or not all(isinstance(c, list) for c in comps):
         raise ValueError("components must be a list of lists")
-    system = CentredSumSystem(comps) if doubled else SumSystem(comps)
+    if halves:
+        evens, odds = doc["even_parts"], doc["odd_parts"]
+        if not doubled:
+            raise ValueError("a sum-and-distance document must be doubled")
+        if not isinstance(evens, list) or not isinstance(odds, list):
+            raise ValueError("even_parts and odd_parts must be lists")
+        system = from_sum_and_distance(SumAndDistanceSystem(n, comps, evens, odds))
+    else:
+        system = CentredSumSystem(comps) if doubled else SumSystem(comps)
     if system.N != n:
         raise ValueError(
             f"stated N = {n} but component sizes multiply to {system.N}"

@@ -169,6 +169,16 @@ class TestConvolution:
         assert time.perf_counter() - start < 2
         assert convolution_power(ONE, j).name == f"1^(*{j})"
 
+    def test_power_past_the_decimal_digit_cap(self):
+        # naming 1^(*10^5000) in decimal raised past Python's 4300-digit cap
+        j = 10**5000
+        start = time.perf_counter()
+        power = convolution_power(ONE, j)
+        assert power(1) == classical_divisor(j, 1)
+        assert power(2) == classical_divisor(j, 2)
+        assert time.perf_counter() - start < 2
+        assert power.name == f"1^(*{hex(j)})"
+
     def test_memoisation_calls_rule_once(self):
         calls = []
         f = ArithmeticFunction(lambda n: calls.append(n) or 1)

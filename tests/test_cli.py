@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -173,6 +174,17 @@ class TestEnumerate:
         first = invoke(capsys, "enumerate", "--tuple", "9,5,6")
         second = invoke(capsys, "enumerate", "--tuple", "9,5,6")
         assert first == second
+
+    def test_cap_hit_is_found_before_enumerating(self):
+        # 17,153,136 JOFs: counted first, so none is built
+        start = time.perf_counter()
+        proc = subprocess.run([*SUMSYS, "enumerate", "--tuple", "64,64,64"],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: enumeration exceeds the cap of 1000000 results\n"
 
     def test_negative_limit_is_a_usage_error(self, capsys):
         code, out, err = invoke(capsys, "enumerate", "--tuple", "12", "--limit", "-1")
@@ -352,6 +364,27 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc == {"ok": True, "reason": None, "N": 270, "doubled": False}
+
+    def test_sum_and_distance_piped_into_verify(self):
+        build = subprocess.Popen([*SUMSYS, "build", "--jof", WORKED, "--sum-and-distance"],
+                                 stdout=subprocess.PIPE, env=subprocess_env())
+        verify = subprocess.run([*SUMSYS, "verify", "--file", "/dev/stdin"],
+                                stdin=build.stdout, capture_output=True, text=True,
+                                env=subprocess_env(), timeout=60)
+        build.stdout.close()
+        assert build.wait(timeout=60) == 0
+        assert verify.returncode == 0
+        assert json.loads(verify.stdout) == {"ok": True, "reason": None, "N": 270,
+                                             "doubled": True}
+
+    def test_mixed_parity_sum_and_distance(self, capsys, tmp_path):
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps({"N": 6, "components": [[1], [1]], "doubled": True,
+                                    "even_parts": [1], "odd_parts": [2]}))
+        code, out, _ = invoke(capsys, "verify", "--file", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "ok": False, "reason": "values within a centred component must share parity"}
 
     def test_round_trip_centred(self, capsys, tmp_path):
         path = self.build_to_file(capsys, tmp_path, "--centred")

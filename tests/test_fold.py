@@ -138,7 +138,7 @@ class TestAgainstSetFold:
     def test_unvalidated_centred_components(self, comps, reason):
         # the builders and centre skip the constructors' checks, so the
         # verifier must still catch what those checks would have refused
-        assert verify_centred(CentredSumSystem._trusted(comps)) == (False, reason)
+        assert verify_centred(tuple.__new__(CentredSumSystem, (comps,))) == (False, reason)
         assert set_fold_verify(comps, centred=True) == (False, reason)
 
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from sumsystems.systems import (
     build_centred,
     build_sum_system,
     centre,
+    from_sum_and_distance,
     jof_of_system,
     minkowski_sum,
     sigma_a,
@@ -297,6 +298,15 @@ class TestSumAndDistance:
         with pytest.raises(ValueError):
             to_sum_and_distance(CentredSumSystem(((0,),)))
 
+    def test_from_sum_and_distance_inverts_every_small_system(self):
+        count = 0
+        for jof in all_jofs_up_to(96):
+            c = build_centred(jof)
+            back = from_sum_and_distance(to_sum_and_distance(c))
+            assert type(back) is CentredSumSystem and back == c, jof
+            count += 1
+        assert count > 1000
+
 
 class TestMinkowskiSum:
     def test_unique(self):
@@ -331,7 +341,22 @@ class TestJson:
         doc = system_to_json(to_sum_and_distance(build_centred(JOF_A)))
         assert doc["even_parts"] == [3]
         assert doc["odd_parts"] == [1, 2]
-        with pytest.raises(ValueError):
+        assert system_from_json(doc) == build_centred(JOF_A)
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda d: d.pop("odd_parts"), "system document lacks 'odd_parts'"),
+        (lambda d: d.update(doubled=False), "a sum-and-distance document must be doubled"),
+        (lambda d: d.update(even_parts=3), "even_parts and odd_parts must be lists"),
+        (lambda d: d.update(even_parts=[], odd_parts=[1, 2, 3]),
+         "cardinalities are inconsistent with N"),
+        # an odd part's middle 0 is even, its halves odd
+        (lambda d: d.update(even_parts=[1], odd_parts=[2, 3], N=280),
+         "values within a centred component must share parity"),
+    ])
+    def test_sum_and_distance_document_rejections(self, mutate, reason):
+        doc = system_to_json(to_sum_and_distance(build_centred(JOF_A)))
+        mutate(doc)
+        with pytest.raises(ValueError, match=reason):
             system_from_json(doc)
 
     def test_rejections(self):

@@ -117,3 +117,40 @@ def test_cached_signature_survives_copies():
     for other in (pickle.loads(pickle.dumps(pf)), copy.deepcopy(pf)):
         assert other.signature == (3, 2, 1) and other == pf
 
+
+
+SYSTEMS = CASES[3:]
+SYSTEM_IDS = IDS[3:]
+
+# per system class, field replacements its constructor refuses
+REFUSED = {
+    SumSystem: [{"components": [[0, 0.5]]}, {"components": []}, {"components": [[1, 0]]},
+                {"components": [[-1, 0]]}],
+    CentredSumSystem: [{"components": [[-1, 0.5]]}, {"components": [[-2, 1]]},
+                       {"components": [[-2, -1, 0, 1, 2]]}],
+    SumAndDistanceSystem: [{"N": 7}, {"components": ((0,), (2,))}, {"even_parts": (1, 2)},
+                           {"odd_parts": (True,), "even_parts": (2,)}],
+}
+
+
+@pytest.mark.parametrize("cls, fields, text, other", SYSTEMS, ids=SYSTEM_IDS)
+def test_replace_and_make_check_as_the_constructor_does(cls, fields, text, other):
+    value = cls(**fields)
+    assert value._replace() == value and type(value._replace()) is cls
+    assert value._replace(**other) == cls(**other)
+    assert cls._make(fields.values()) == value
+    for change in REFUSED[cls]:
+        with pytest.raises(ValueError):
+            cls(**{**fields, **change})
+        with pytest.raises(ValueError):
+            value._replace(**change)
+        with pytest.raises(ValueError):
+            cls._make({**fields, **change}.values())
+
+
+@pytest.mark.parametrize("cls, fields, text, other", CASES, ids=IDS)
+def test_unpacks_and_indexes_as_a_tuple(cls, fields, text, other):
+    value = cls(**fields)
+    assert (*value,) == tuple(fields.values())
+    assert len(value) == len(fields) and value[-1] == list(fields.values())[-1]
+    assert value._asdict() == fields and value._fields == tuple(fields)
