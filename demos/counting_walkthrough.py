@@ -35,7 +35,8 @@ r = count_by_recurrence(24, 3)
 print(f"recurrence count for N = 24, m = 3: {r.value} via {r.method}")
 print()
 
-# dividing by m! gives unordered counts, and the division is always exact
+# the Stirling sum itself counts systems up to the order of their parts;
+# the ordered count is m! times it
 for n, m in ((12, 2), (24, 3), (16, 4)):
     print(f"unordered {m}-part count of {n}: {count_unordered(n, m).value}")
 print()

@@ -1,9 +1,12 @@
 """Counting sum systems.
 
-The number of m-part sum systems for N is a finite Stirling-weighted sum of
-signed square-free factorisation counts; everything else here (two-part
-shortcut, unordered counts, divisor-sum identities, the fixed-tuple
-two-part formula) hangs off that and off the c_j divisor functions.  The
+The paper's sum M_m(N) = sum over L of S(L, m) (e - mu)^(*L)(N), Stirling
+numbers times signed square-free factorisation counts, counts the m-part
+sum systems for N up to the order of their parts.  The m parts of a system
+are distinct, so N_m = m! M_m systems have ordered parts.  One cached
+kernel evaluates M_m on the prime signature; the unordered and ordered
+counts and the divisor-sum identities read it; the two-part shortcut and
+the fixed-tuple two-part formula read the c_j divisor functions.  The
 brute-force count, driven by the JOF enumerator, is the oracle the closed
 forms are measured against.
 """
@@ -70,27 +73,29 @@ class CountResult(namedtuple("CountResult", "value method"), _Record):
 
 
 @lru_cache(maxsize=_SIGNATURE_CACHE)
-def _n_m(signature: tuple[int, ...], m: int, shift: int) -> int:
-    """m! times the sum over L of S(L, m) ((e - mu)^(*L) * d_shift) at any n
-    with this prime signature.  Shift 0 counts the m-part sum systems
-    (ordered part tuples) for n; as d_k * 1 = d_(k+1) and d_k * mu = d_(k-1),
-    shift 1 and -1 sum that count over d | n, plain and weighted by mu(n/d).
+def _m_m(signature: tuple[int, ...], m: int, shift: int) -> int:
+    """The sum over L of S(L, m) ((e - mu)^(*L) * d_shift) at any n with this
+    prime signature.  Shift 0 counts the m-part sum systems for n up to the
+    order of their parts; as d_k * 1 = d_(k+1) and d_k * mu = d_(k-1), shift
+    1 and -1 sum that count over d | n, plain and weighted by mu(n/d).
     """
     omega = sum(signature)
     if m > omega:
         return 0
     rows, series = _stirling_table(omega), _difference_table(signature)[shift + 1]
-    return factorial(m) * sum(rows[length][m] * series[length] for length in range(m, omega + 1))
+    return sum(rows[length][m] * series[length] for length in range(m, omega + 1))
 
 
 def count_m_part(n: int, m: int) -> CountResult:
-    """Closed-form count of m-part sum systems for n.
+    """Closed-form count of m-part sum systems for n: m! times the
+    unordered count.
 
     m = 0 is the convention value: 1 at n = 1, else 0; it makes the
     divisor-sum identities uniform.
     """
     _check_index(m, 0, "m")
-    return CountResult(_n_m(factorise(n).signature, m, 0), "closed-form")
+    unordered = _m_m(factorise(n).signature, m, 0)
+    return CountResult(unordered and factorial(m) * unordered, "closed-form")
 
 
 def count_two_part(n: int) -> CountResult:
@@ -166,24 +171,10 @@ def count_by_recurrence(n: int, m: int) -> CountResult:
     return CountResult(row[m] if m < len(row) else 0, "divisor-recurrence")
 
 
-def _m_m(signature: tuple[int, ...], m: int) -> int:
-    """Unordered count: the ordered count divided by m! (always divides)."""
-    ordered = _n_m(signature, m, 0)
-    if not ordered:
-        return 0
-    q, r = divmod(ordered, factorial(m))
-    if r:
-        raise RuntimeError(
-            f"ordered count {ordered} for signature {signature}, m={m} is not"
-            f" divisible by {m}!; this indicates a bug"
-        )
-    return q
-
-
 def count_unordered(n: int, m: int) -> CountResult:
     """m-part sum systems counted up to reordering the parts."""
     _check_index(m, 0, "m")
-    return CountResult(_m_m(factorise(n).signature, m), "closed-form")
+    return CountResult(_m_m(factorise(n).signature, m, 0), "closed-form")
 
 
 class DivisorSumReport(
@@ -219,29 +210,20 @@ def divisor_sum_check(n: int, m: int) -> DivisorSumReport:
     """Evaluate all four divisor-sum identities at (n, m) exactly.
 
     A sum over the proper divisors d of n is the kernel at n with shift 1
-    (or -1, weighted by mu(n/d)) less the d = n term; its unordered form is
-    divided by m! or (m - 1)!, which divide every term.  No divisor of n is
-    listed or factorised.
+    (or -1, weighted by mu(n/d)) less the d = n term.  Each ordered residual
+    is m! times its unordered one.  No divisor of n is listed or factorised.
     """
     _check_index(m, 1, "m")
     sig = factorise(n).signature
-    if m > sum(sig) + 1:  # N_m and N_(m-1) vanish on every divisor
+    if m > sum(sig) + 1:  # M_m and M_(m-1) vanish on every divisor
         return DivisorSumReport(n, m, 0, 0, 0, 0)
-    # N_m and N_(m-1): at n, summed over d | n, and weighted by mu(n/d)
-    o, o_all, o_mu = _n_m(sig, m, 0), _n_m(sig, m, 1), _n_m(sig, m, -1)
-    p, p_all, p_mu = _n_m(sig, m - 1, 0), _n_m(sig, m - 1, 1), _n_m(sig, m - 1, -1)
-    f_p = factorial(m - 1)
-    f_o = m * f_p
-    u, u_all, u_mu = o // f_o, o_all // f_o, o_mu // f_o
-    v, v_all, v_mu = p // f_p, p_all // f_p, p_mu // f_p
-    return DivisorSumReport(
-        n,
-        m,
-        o - (m - 1) * (o_all - o) - m * (p_all - p),
-        o + m * (o_mu - o + p_mu - p),
-        u - (m - 1) * (u_all - u) - (v_all - v),
-        u + m * (u_mu - u) + (v_mu - v),
-    )
+    # M_m and M_(m-1): at n, summed over d | n, and weighted by mu(n/d)
+    u, u_all, u_mu = _m_m(sig, m, 0), _m_m(sig, m, 1), _m_m(sig, m, -1)
+    v, v_all, v_mu = _m_m(sig, m - 1, 0), _m_m(sig, m - 1, 1), _m_m(sig, m - 1, -1)
+    plain = u - (m - 1) * (u_all - u) - (v_all - v)
+    mobius = u + m * (u_mu - u) + (v_mu - v)
+    f = factorial(m)
+    return DivisorSumReport(n, m, f * plain, f * mobius, plain, mobius)
 
 
 def two_dim_fixed_tuple(n: int) -> CountResult:

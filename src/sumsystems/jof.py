@@ -168,9 +168,7 @@ def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
     if m == 1:
         return [(n,)] if n >= 2 else []
     out = []
-    for f in nontrivial_divisors(n) if n >= 2 else ():
-        if f == n and m > 1:
-            continue
+    for f in nontrivial_divisors(n)[:-1]:
         for rest in ordered_factorisations(n // f, m - 1):
             out.append((f,) + rest)
     return out

@@ -46,12 +46,19 @@ follows the number of sums it produces, not the size of the values.
 Before the fold, a system whose largest possible sum (sum of max A_j)
 exceeds N - 1 is rejected as not covering; past that check, N distinct
 sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
+
+The fold runs under a budget of _BUDGET bits a stage, a sparse stage
+priced at _DENSE bits per sum.  At the first stage past it, the JOF read
+decides instead: each sum system is the blow-up of exactly one JOF, so
+components no JOF builds are refused with "no JOF builds these
+components", and a rejected document costs bounded time and memory
+whatever its N.
 """
 
 from __future__ import annotations
 
-# module-level: importing it inside tau_c cost 1.3-1.8 us a call
 from collections import namedtuple
+# module-level: importing it inside tau_c cost 1.3-1.8 us a call
 from fractions import Fraction
 from itertools import chain
 from math import prod
@@ -363,6 +370,10 @@ def _members(bits: int) -> set[int]:
 # and a set of the sums is both smaller and faster.
 _DENSE = 64
 
+# No fold stage takes more than _BUDGET bits, 2 MiB as a bitset; a sparse
+# stage is priced at _DENSE bits per sum.
+_BUDGET = 1 << 24
+
 # A system is first read back as a JOF when N >= _READ_RATIO * sum |A_j|.
 # The read and its rebuild cost about 10 us plus 0.07 us per value, while the
 # fold grows with N.  Over 720 random genuine systems with N = 2^5..2^16 on
@@ -372,19 +383,21 @@ _DENSE = 64
 _READ_RATIO = 32
 
 
-def _fold(components, n: int, cover_reason: str) -> Verdict:
+def _fold(components, n: int, cover_reason: str, read_failed: bool = False) -> Verdict:
     """Fold components, each ascending from 0, whose sizes multiply to n.
 
     Rejects with cover_reason when the maxima sum past n - 1; otherwise
     reports the first stage whose sums collide.  A dense stage multiplies
     bitsets and counts the product's set bits, a sparse one (the range
     wider than _DENSE times the sums) counts a set of sums, so no bitset
-    holds more than _DENSE bits per sum of its stage.  A component whose
-    maximum is below _NARROW becomes its bitset as a sum of shifted ones,
-    a wider one through a bytearray; either way its bitset has max + 1
-    bits, within its dense stage's bound.  A collision-free fold has n
-    distinct sums within 0..n-1, so it covers them (and when the maxima
-    sum below n - 1 it must collide).
+    holds more than _DENSE bits per sum of its stage.  A stage that would
+    pass _BUDGET is not folded: the JOF read decides, unless read_failed
+    says it already ran and found none.  A component whose maximum is
+    below _NARROW becomes its bitset as a sum of shifted ones, a wider one
+    through a bytearray; either way its bitset has max + 1 bits, within its
+    dense stage's bound.  A collision-free fold has n distinct sums within
+    0..n-1, so it covers them (and when the maxima sum below n - 1 it must
+    collide).
     """
     if sum([comp[-1] for comp in components]) > n - 1:
         return False, cover_reason
@@ -393,6 +406,10 @@ def _fold(components, n: int, cover_reason: str) -> Verdict:
     for j, comp in enumerate(components, start=1):
         width += comp[-1]
         size *= len(comp)
+        if width > _BUDGET and _DENSE * size > _BUDGET:
+            if not read_failed and _read_jof(components) is not None:
+                return True, None
+            return False, "no JOF builds these components"
         if width <= _DENSE * size:
             if isinstance(acc, set):
                 acc = _bitset(sorted(acc))
@@ -412,9 +429,10 @@ def _verdict(components, n: int, cover_reason: str) -> Verdict:
     """Verdict on components, each an ascending tuple from 0, whose sizes
     multiply to n: (True, None) when a JOF read back certifies them, else
     the fold's verdict."""
-    if n >= _READ_RATIO * sum(map(len, components)) and _read_jof(components) is not None:
+    read = n >= _READ_RATIO * sum(map(len, components))
+    if read and _read_jof(components) is not None:
         return True, None
-    return _fold(components, n, cover_reason)
+    return _fold(components, n, cover_reason, read)
 
 
 def verify_sum_system(system: SumSystem) -> Verdict:

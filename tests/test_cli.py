@@ -440,6 +440,26 @@ class TestVerify:
         assert verdict["ok"] is False
         assert verdict["reason"].startswith("not valid JSON: ")
 
+    @pytest.mark.parametrize("doubled", [False, True])
+    @pytest.mark.parametrize("k", range(24, 41))
+    def test_rejection_in_bounded_time_and_memory(self, tmp_path, k, doubled):
+        # {0, 2^i} for i < k - 1, then {0, 2^(k-1) - 1}: the sums collide only
+        # at component k, so the fold would grow with N = 2^k until then
+        tops = [1 << i for i in range(k - 1)] + [(1 << (k - 1)) - 1]
+        comps = [[-t, t] if doubled else [0, t] for t in tops]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"N": 1 << k, "components": comps, "doubled": doubled}))
+        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=5)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        reason = json.loads(proc.stdout)["reason"]
+        if k == 24:
+            assert reason == "sums collide when component 24 is added"
+        else:
+            assert reason == "no JOF builds these components"
+
     def test_value_past_the_digit_cap(self, capsys, tmp_path):
         # rejected before int() parses it, which is quadratic in the digits
         path = tmp_path / "huge.json"

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from sumsystems.arith import (
 )
 from sumsystems.counting import (
     CountResult,
-    _n_m,
+    _m_m,
     _recurrence_row,
     binomial_inversion,
     binomial_transform,
@@ -293,7 +294,7 @@ class TestDivisorSumIdentities:
         wrong = [list(row) for row in counting._stirling_table(62)]
         wrong[3][2] += 1
         monkeypatch.setattr(counting, "_stirling_table", lambda top: wrong)
-        _n_m.cache_clear()
+        _m_m.cache_clear()
         try:
             failed = [
                 (n, m)
@@ -303,13 +304,13 @@ class TestDivisorSumIdentities:
             ]
         finally:
             monkeypatch.undo()
-            _n_m.cache_clear()
+            _m_m.cache_clear()
         assert failed
 
     def test_worst_signature_every_m_from_cold(self):
         # 2^25 3^10 5^4 7^2 11 13: 17,160 divisors, Omega = 43
         n = 8677099422351360000
-        for cache in (_n_m, arith._difference_table, arith._binomial_d_sum, arith._d):
+        for cache in (_m_m, arith._difference_table, arith._binomial_d_sum, arith._d):
             cache.cache_clear()
         start = time.perf_counter()
         assert all(divisor_sum_check(n, m).ok for m in range(1, big_omega(n) + 2))
@@ -317,7 +318,7 @@ class TestDivisorSumIdentities:
 
     def test_one_table_per_signature(self):
         n = 8677099422351360000
-        for cache in (_n_m, arith._difference_table):
+        for cache in (_m_m, arith._difference_table):
             cache.cache_clear()
         for m in range(big_omega(n) + 2):
             count_m_part(n, m)
@@ -356,16 +357,16 @@ class TestShiftedKernel:
         for n in range(1, 2001):
             signature, top = factorise(n).signature, big_omega(n) + 1
             expected = divisor_sums(n, top)
-            assert [_n_m(signature, m, 1) for m in range(top + 1)] == expected[0], n
-            assert [_n_m(signature, m, -1) for m in range(top + 1)] == expected[1], n
+            assert [factorial(m) * _m_m(signature, m, 1) for m in range(top + 1)] == expected[0], n
+            assert [factorial(m) * _m_m(signature, m, -1) for m in range(top + 1)] == expected[1], n
 
     @pytest.mark.parametrize("n", [30920671782000, 8677099422351360000])
     def test_many_divisors(self, n):
         # 11,520 and 17,160 divisors
         signature = factorise(n).signature
         plain, weighted = divisor_sums(n, 6)
-        assert [_n_m(signature, m, 1) for m in range(7)] == plain
-        assert [_n_m(signature, m, -1) for m in range(7)] == weighted
+        assert [factorial(m) * _m_m(signature, m, 1) for m in range(7)] == plain
+        assert [factorial(m) * _m_m(signature, m, -1) for m in range(7)] == weighted
 
 
 class TestTwoDimFixedTuple:

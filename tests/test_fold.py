@@ -25,6 +25,7 @@ from sumsystems.systems import (
     SumSystem,
     build_sum_system,
     centre,
+    jof_of_system,
     system_from_json,
     system_to_json,
     verify_centred,
@@ -347,3 +348,83 @@ class TestReadRoute:
         assert folded == [plain, doubled]
         assert plain[0] is False and plain[1].startswith("sums collide when component")
         assert doubled == plain
+
+
+UNBUILT = "no JOF builds these components"
+
+
+def distinct_until_last(k, centred=False):
+    """Components {0, 2^i} for i < k - 1, then {0, 2^(k-1) - 1}: N = 2^k,
+    and the sums stay distinct until the last component is added."""
+    comps = [(0, 1 << i) for i in range(k - 1)] + [(0, (1 << (k - 1)) - 1)]
+    plain = SumSystem(tuple(comps))
+    return centre(plain) if centred else plain
+
+
+def counting_reads(monkeypatch):
+    """Patch the JOF read with one that counts its calls."""
+    reads = []
+    read = systems._read_jof
+
+    def counted(components):
+        reads.append(components)
+        return read(components)
+
+    monkeypatch.setattr(systems, "_read_jof", counted)
+    return reads
+
+
+class TestFoldBudget:
+    """A fold stage past systems._BUDGET bits is not folded: the JOF read
+    decides, as each sum system is the blow-up of exactly one JOF."""
+
+    def test_last_stage_within_the_budget_names_the_collision(self):
+        assert systems._BUDGET == 1 << 24
+        for centred in (False, True):
+            system = distinct_until_last(24, centred)
+            verify = verify_centred if centred else verify_sum_system
+            assert verify(system) == (False, "sums collide when component 24 is added")
+
+    # larger k run only in a memory-limited subprocess (tests/test_cli.py),
+    # as a fold without the budget would grow with 2^k
+    @pytest.mark.parametrize("k", [25, 27])
+    @pytest.mark.parametrize("read_ratio", [systems._READ_RATIO, math.inf])
+    def test_past_the_budget_the_read_decides_once(self, monkeypatch, k, read_ratio):
+        monkeypatch.setattr(systems, "_READ_RATIO", read_ratio)
+        reads = counting_reads(monkeypatch)
+        assert verify_sum_system(distinct_until_last(k)) == (False, UNBUILT)
+        assert verify_centred(distinct_until_last(k, centred=True)) == (False, UNBUILT)
+        assert len(reads) == 2
+
+    @pytest.fixture(scope="class")
+    def small_systems(self):
+        """systems_up_to_96() and their verdicts by the fold alone."""
+        cases = list(systems_up_to_96())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(systems, "_READ_RATIO", math.inf)
+            return cases, [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
+
+    @pytest.mark.parametrize("budget", [1 << 4, 1 << 6])
+    def test_every_small_system_keeps_its_verdict(self, monkeypatch, small_systems, budget):
+        # with no read before the fold, the budget alone routes to the read
+        cases, fold_alone = small_systems
+        monkeypatch.setattr(systems, "_READ_RATIO", math.inf)
+        monkeypatch.setattr(systems, "_BUDGET", budget)
+        budgeted = [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
+        changed = 0
+        for want_pair, got_pair in zip(fold_alone, budgeted):
+            for want, got in zip(want_pair, got_pair):
+                assert got[0] == want[0]
+                if got != want:
+                    assert got == (False, UNBUILT), (want, got)
+                    changed += 1
+        assert changed  # the budget was reached on rejected systems
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(shuffled_systems())
+def test_every_genuine_shuffled_system_is_read_back(comps):
+    if not set_fold_verify(comps, centred=False)[0]:
+        return
+    system = SumSystem(comps)
+    assert build_sum_system(jof_of_system(system)) == system
