@@ -22,13 +22,20 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from functools import cached_property, lru_cache
-from math import comb, isqrt
+from itertools import count
+from math import comb, gcd, isqrt
 from operator import sub
 
-# Domain cap: values beyond it are refused before any factorisation.  It
-# bounds the size of the numbers, not the time: trial division of a prime
-# near the cap takes minutes.
+# Domain cap: values beyond it are refused before any factorisation.
 MAX_INPUT = 2**63 - 1
+
+# Trial division stops at this bound.  A cofactor left over has no prime
+# factor below it and is split by Miller-Rabin and Pollard-Brent rho.
+_TRIAL = 1 << 10
+
+# The first 12 primes as Miller-Rabin bases decide primality for every
+# n < 3.18e23 (Sorenson & Webster 2015), so for every input below the cap.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Entries kept by each signature-keyed cache.  A signature is a partition of
 # Omega(n) <= 62, and realistic workloads touch a few hundred of them.  The
@@ -104,7 +111,8 @@ def _check_index(value: int, least: int | None, name: str) -> None:
 
 @lru_cache(maxsize=_SIGNATURE_CACHE)
 def factorise(n: int) -> PrimeFactorisation:
-    """Trial-division factorisation of a positive integer up to 2**63 - 1."""
+    """Factorisation of a positive integer up to 2**63 - 1: trial division
+    below _TRIAL, then _large_primes on the cofactor left."""
     _check_positive(n)
     m = n
     factors: list[tuple[int, int]] = []
@@ -117,7 +125,7 @@ def factorise(n: int) -> PrimeFactorisation:
             factors.append((p, e))
     # remaining prime factors are of the form 6k +- 1
     p = 5
-    while p <= isqrt(m):
+    while p <= isqrt(m) and p < _TRIAL:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -126,8 +134,71 @@ def factorise(n: int) -> PrimeFactorisation:
             factors.append((p, e))
         p += 2 if p % 6 == 5 else 4
     if m > 1:
-        factors.append((m, 1))
+        primes = [m] if p > isqrt(m) else _large_primes(m)
+        factors += [(q, primes.count(q)) for q in sorted(set(primes))]
     return PrimeFactorisation(n, tuple(factors))
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 37 below 3.18e23."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of
+    Pollard's rho: x -> x^2 + c mod n for c = 1, 2, ... until one splits n,
+    the differences multiplied in batches of 128 between gcds."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch's product hit 0 mod n: redo it one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _large_primes(m: int) -> list[int]:
+    """The prime factors of m, repeats included, when m has none below
+    _TRIAL."""
+    primes, pending = [], [m]
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            primes.append(m)
+        else:
+            d = _rho(m)
+            pending += (d, m // d)
+    return primes
 
 
 def big_omega(n: int) -> int:

@@ -23,10 +23,28 @@ components, the same map centre applies.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they create it with tuple.__new__, skipping the checks of the public
 constructors (centre keeps one, since its input may be any valid SumSystem).
-Verification still never trusts construction: it checks every component,
-then proves the system genuine by a certificate or by the Minkowski fold.
+Verification still never trusts construction.  A system with N <= _NARROW
+is first tried by one bitset product, below.  Any other, and every
+rejection, gets the per-component checks and then is proved genuine by its
+JOF read back or by the Minkowski fold.
 
-The certificate is the system's JOF, read back from the components
+The product shifts each component to start at 0 (a plain one must start
+there, a doubled one at -max) and multiplies their bitsets, each the sum of
+2^a over its values a.  Each product term is one sum of one value per component, so the
+coefficients sum to N, and a repeated sum carries, which leaves fewer than
+N bits set.  A product equal to sum of 2^(step*k) over k < N, step 1 for
+plain and 2 for doubled components, thus has the N sums 0, step, ...,
+step*(N-1), each once: a sum system for step 1.  For step 2 each value of a
+shifted component is itself a sum (the other components add their 0), so
+even: halved, the components are a sum system.  Each sum system is the
+blow-up of exactly one JOF, so its components contain 0 and are
+palindromic, and their doubled forms are symmetric and of one parity: every
+per-component check would pass.  Guards run before any shift: at least 2
+values a component (a {0} component passes the product but is refused),
+the starts, and sum of (max - min) <= step*(N-1), so no bitset is wider than
+2N bits whatever the values.
+
+The read-back certificate is the system's JOF, read from the components
 (jof_of_system, the inverse of build_sum_system).  A reading is accepted
 only when the JOF it gives rebuilds every component exactly; then each k in
 0..N-1 has exactly one mixed-radix digit string in the JOF's factors, so the
@@ -62,7 +80,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import prod
-from operator import lt, mul, neg
+from operator import itemgetter, lt, mul, neg
 
 from .arith import _Record
 from .jof import Jof, _checked_jof
@@ -333,6 +351,7 @@ def minkowski_sum(a, b) -> tuple[tuple[int, ...], bool]:
 # Measured on Python 3.11 with 2 to 256 values: summing shifts takes 0.5-1.05x
 # the bytearray's time at maxima 512 and 1024, 0.4-1.7x at 2048 and 4096
 # (slower from 32 values on), and 3-8x at 16384 and 65536 from 32 values on.
+# _certified takes it as its bound on N, so its bitsets stay this narrow.
 _NARROW = 1024
 
 
@@ -379,7 +398,8 @@ _BUDGET = 1 << 24
 # fold grows with N.  Over 720 random genuine systems with N = 2^5..2^16 on
 # Python 3.11, the read was faster on 245 of the 284 at a ratio of 32 or
 # more and on 64 of the 436 below it; at N <= 2^11 the fold stays faster by
-# a few us.
+# a few us, but a genuine system with N <= _NARROW reaches neither: the
+# bitset product of _certified takes it first.
 _READ_RATIO = 32
 
 
@@ -425,6 +445,27 @@ def _fold(components, n: int, cover_reason: str, read_failed: bool = False) -> V
     return True, None
 
 
+def _certified(components, n: int, step: int) -> bool:
+    """Whether n <= _NARROW and these ascending components, plain ones
+    (step 1) starting at 0 and doubled ones (step 2) at -max, each with at
+    least 2 values, have sums 0, step, ..., step*(n - 1) once each when
+    shifted to start at 0.  Only a genuine system passes (module
+    docstring); False decides nothing."""
+    if n > _NARROW or min(map(len, components), default=0) < 2:
+        return False
+    lows = list(map(itemgetter(0), components))
+    tops = list(map(itemgetter(-1), components))
+    if (any(lows) if step == 1 else lows != list(map(neg, tops))):
+        return False
+    # checked before any shift, so no bitset is wider than step * n bits
+    if sum(tops) - sum(lows) > step * (n - 1):
+        return False
+    bits = 1
+    for comp, low in zip(components, lows):
+        bits *= sum(map((1).__lshift__, map((-low).__add__, comp) if low else comp))
+    return bits == ((1 << step * n) - 1) // ((1 << step) - 1)
+
+
 def _verdict(components, n: int, cover_reason: str) -> Verdict:
     """Verdict on components, each an ascending tuple from 0, whose sizes
     multiply to n: (True, None) when a JOF read back certifies them, else
@@ -438,14 +479,18 @@ def _verdict(components, n: int, cover_reason: str) -> Verdict:
 def verify_sum_system(system: SumSystem) -> Verdict:
     """Full check that the components form a sum system.
 
-    Each component must contain 0, be palindromic (A = max A - A), and the
-    sums must reach 0..N-1 with no collision: shown by a JOF read back or
-    by the Minkowski fold, which alone gives every rejection.  Past
+    A system with N <= _NARROW is first certified by one bitset product.
+    Otherwise each component must contain 0, be palindromic (A = max A - A),
+    and the sums must reach 0..N-1 with no collision: shown by a JOF read
+    back or by the Minkowski fold, which alone gives every rejection.  Past
     the per-component checks, a system with sum of max A_j > N - 1 is
     reported as not covering, even where a collision also occurs; otherwise
     the first component whose addition collides is reported.
     """
-    for j, comp in enumerate(system.components, start=1):
+    comps, n = system.components, system.N
+    if _certified(comps, n, 1):
+        return True, None
+    for j, comp in enumerate(comps, start=1):
         if len(comp) < 2:
             return False, f"component {j} has fewer than 2 values"
         if comp[0] != 0:
@@ -453,21 +498,25 @@ def verify_sum_system(system: SumSystem) -> Verdict:
         top = comp[-1]
         if comp != tuple([top - v for v in reversed(comp)]):
             return False, f"component {j} is not palindromic"
-    n = system.N
-    return _verdict(system.components, n, f"sums do not cover 0..{n - 1}")
+    return _verdict(comps, n, f"sums do not cover 0..{n - 1}")
 
 
 def verify_centred(centred: CentredSumSystem) -> Verdict:
     """Full check on doubled values: sums must hit 2k - (N - 1), k in 0..N-1.
 
-    After the symmetry and parity checks, each doubled component with
+    A system with N <= _NARROW is first certified by one bitset product of
+    the components shifted by their maxima.  Otherwise, after the symmetry
+    and parity checks, each doubled component with
     maximum M is mapped by v -> (v + M) / 2 onto 0..M.  The map is affine,
     so the mapped components tile 0..N-1 exactly when the doubled ones tile
     -(N-1)..N-1 in steps of 2; the mapped components take the route of
     verify_sum_system, with its reason precedence.
     """
+    comps, n = centred.components, centred.N
+    if _certified(comps, n, 2):
+        return True, None
     plain = []
-    for j, comp in enumerate(centred.components, start=1):
+    for j, comp in enumerate(comps, start=1):
         if len(comp) < 2:
             return False, f"component {j} has fewer than 2 values"
         if not _symmetric(comp):
@@ -479,9 +528,7 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
         if 2 * sum(mapped) != len(comp) * top:
             return False, f"component {j} mixes parities"
         plain.append(mapped)
-    return _verdict(
-        plain, centred.N, "doubled sums do not cover -(N-1)..N-1 in steps of 2"
-    )
+    return _verdict(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")
 
 
 def sigma_a(system: SumSystem) -> int:

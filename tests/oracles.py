@@ -26,6 +26,24 @@ def naive_omega(n: int) -> int:
     return count + (1 if n > 1 else 0)
 
 
+def naive_factorise(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, primes ascending, by trial division by
+    every d >= 2."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
 def naive_mobius(n: int) -> int:
     result = 1
     d = 2

@@ -1,11 +1,17 @@
 """Divisor-function algebra against naive oracles and frozen values."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
+from sumsystems import arith
 from sumsystems.arith import (
     E,
     E_MINUS_MU,
@@ -15,6 +21,7 @@ from sumsystems.arith import (
     ArithmeticFunction,
     _binomial_d_sum,
     _difference_table,
+    _is_prime,
     associated_divisor,
     big_omega,
     classical_divisor,
@@ -35,6 +42,7 @@ from oracles import (
     count_tuples,
     generalised_d,
     naive_convolve,
+    naive_factorise,
     naive_mobius,
     naive_mobius_power,
     naive_omega,
@@ -79,6 +87,61 @@ class TestFactorise:
         assert rebuilt == top
         with pytest.raises(ValueError):
             factorise(2**63)
+
+    # at a trial bound of 41 every n <= 10^5 with a cofactor past 41^2 goes
+    # to Miller-Rabin and rho: 43 * 47, 43^2 * 47, 41^3, ...
+    @pytest.mark.parametrize("trial", [arith._TRIAL, 41])
+    def test_every_n_to_1e5_as_by_trial_division(self, monkeypatch, trial):
+        monkeypatch.setattr(arith, "_TRIAL", trial)
+        factorise.cache_clear()
+        try:
+            for n in range(1, 10**5 + 1):
+                assert factorise(n).factors == naive_factorise(n), n
+        finally:
+            factorise.cache_clear()
+
+    # prime, balanced semiprimes, prime powers near the cap, Carmichael
+    # numbers, and a strong pseudoprime to bases 2, 3, 5 and 7
+    FROZEN = {
+        2**63 - 25: ((2**63 - 25, 1),),
+        2147483629 * 2147483647: ((2147483629, 1), (2147483647, 1)),
+        3037000453 * 3037000493: ((3037000453, 1), (3037000493, 1)),
+        3037000493**2: ((3037000493, 2),),
+        2097143**3: ((2097143, 3),),
+        2 * 1518500213**2: ((2, 1), (1518500213, 2)),
+        561: ((3, 1), (11, 1), (17, 1)),
+        41041: ((7, 1), (11, 1), (13, 1), (41, 1)),
+        825265: ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1)),
+        3215031751: ((151, 1), (751, 1), (28351, 1)),
+        3825123056546413051: ((149491, 1), (747451, 1), (34233211, 1)),
+    }
+
+    def test_frozen_in_bounded_time(self):
+        # a new process, so that no cached factorisation is reused
+        code = ("import json, sys; from sumsystems.arith import factorise; "
+                "print(json.dumps([factorise(n).factors for n in json.loads(sys.argv[1])]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(list(self.FROZEN))],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        got = [tuple(map(tuple, factors)) for factors in json.loads(proc.stdout)]
+        assert got == list(self.FROZEN.values())
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (561, False),
+            (41041, False),
+            (825265, False),
+            (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+            (3825123056546413051, False),  # and to every prime base up to 23
+            (2**61 - 1, True),
+            (2**63 - 25, True),
+            (3037000493, True),
+        ],
+    )
+    def test_miller_rabin(self, n, prime):
+        assert _is_prime(n) is prime
 
 
 class TestDivisors:

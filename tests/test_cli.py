@@ -105,6 +105,15 @@ class TestCount:
         assert invoke(capsys, "count", "--n", "12", "--unordered", "--format", "plain") == (
             0, "1 1\n2 7\n3 3\n", "")
 
+    def test_largest_prime_below_the_cap_in_bounded_time(self):
+        p = 2**63 - 25
+        proc = subprocess.run([*SUMSYS, "count", "--n", str(p)], capture_output=True,
+                              text=True, env=subprocess_env(), timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "N": p, "counts": [{"m": 1, "count": 1}], "method": "closed-form",
+        }
+
 
 # Every usage error, its exit code and the last line it writes to stderr.
 # Errors argparse reports are pinned by their final "error:" line only, as

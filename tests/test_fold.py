@@ -114,6 +114,15 @@ def corruptions(jof, rng):
             yield blow_up(swapped, m)
 
 
+# Doubled components the constructor would refuse, and their reasons.
+UNVALIDATED_CENTRED = [
+    (((-2, 0, 1),), "component 1 is not symmetric about 0"),
+    (((-3, -1, 1, 3), (-2, 0, 1)), "component 2 is not symmetric about 0"),
+    (((-2, 0, 2), (-3, 0, 3)), "component 2 mixes parities"),
+    (((-1, 1), (-3, -2, 2, 3)), "component 2 mixes parities"),
+]
+
+
 class TestAgainstSetFold:
     def test_seeded_corruptions(self):
         rng = random.Random(20230321)
@@ -127,15 +136,7 @@ class TestAgainstSetFold:
         # the corruptions reach both verdicts, not only rejections
         assert verdicts[True] > 0 and verdicts[False] > 0
 
-    @pytest.mark.parametrize(
-        "comps, reason",
-        [
-            (((-2, 0, 1),), "component 1 is not symmetric about 0"),
-            (((-3, -1, 1, 3), (-2, 0, 1)), "component 2 is not symmetric about 0"),
-            (((-2, 0, 2), (-3, 0, 3)), "component 2 mixes parities"),
-            (((-1, 1), (-3, -2, 2, 3)), "component 2 mixes parities"),
-        ],
-    )
+    @pytest.mark.parametrize("comps, reason", UNVALIDATED_CENTRED)
     def test_unvalidated_centred_components(self, comps, reason):
         # the builders and centre skip the constructors' checks, so the
         # verifier must still catch what those checks would have refused
@@ -428,3 +429,78 @@ def test_every_genuine_shuffled_system_is_read_back(comps):
         return
     system = SumSystem(comps)
     assert build_sum_system(jof_of_system(system)) == system
+
+
+def no_read(*args):
+    raise AssertionError("the JOF read ran")
+
+
+def unchecked(cls, comps):
+    """A system of these components, past its constructor's checks."""
+    return tuple.__new__(cls, (comps,))
+
+
+class TestCertificate:
+    """systems._certified: one bitset product proves a system with
+    N <= systems._NARROW genuine, before any per-component check."""
+
+    def test_every_genuine_small_system_is_certified(self, monkeypatch):
+        monkeypatch.setattr(systems, "_fold", no_fold)
+        monkeypatch.setattr(systems, "_read_jof", no_read)
+        for jof in all_jofs_up_to(96):
+            plain = build_sum_system(jof)
+            assert verify_sum_system(plain) == (True, None), jof
+            assert verify_centred(centre(plain)) == (True, None), jof
+
+    @pytest.mark.parametrize(
+        "system, reason",
+        [
+            # {0} times {0, 1} tiles 0..1 in one product
+            (SumSystem(((0,), (0, 1))), "component 1 has fewer than 2 values"),
+            (CentredSumSystem(((-1, 1), (0,))), "component 2 has fewer than 2 values"),
+            # shifted to start at 0, {1, 3} and {0, 1} would tile 0..3
+            (SumSystem(((1, 3), (0, 1))), "component 1 does not contain 0"),
+            # shifted by their minima, {0, 4} and {0, 2} would tile 0..6 by 2
+            (unchecked(CentredSumSystem, ((0, 4), (-1, 1))),
+             "component 1 is not symmetric about 0"),
+            # the maxima are summed before any bitset is made
+            (SumSystem(((0, 2**60), (0, 1))), "sums do not cover 0..3"),
+            (CentredSumSystem(((-(2**60), 2**60), (-1, 1))), CENTRED_COVER),
+        ]
+        + [(unchecked(CentredSumSystem, comps), reason) for comps, reason in UNVALIDATED_CENTRED],
+    )
+    def test_refused_with_the_reason_of_the_checks(self, system, reason):
+        step = 2 if isinstance(system, CentredSumSystem) else 1
+        assert not systems._certified(system.components, system.N, step)
+        verify = verify_centred if step == 2 else verify_sum_system
+        assert verify(system) == (False, reason)
+
+
+@st.composite
+def small_candidates(draw):
+    """(components, step): a blow-up with N <= 1024 in shuffled order,
+    sometimes with one component replaced by random values, plain (step 1)
+    or doubled by 2a - max, or by 2a - max + 1 on one component (step 2)."""
+    m = draw(st.integers(1, 4))
+    entries = [(part, draw(st.integers(2, 6))) for part in range(1, m + 1)]
+    for part, factor in draw(st.lists(st.tuples(st.integers(1, m), st.integers(2, 6)))):
+        if prod(f for _, f in entries) * factor <= 1024:
+            entries.append((part, factor))
+    comps = list(draw(st.permutations(blow_up(draw(st.permutations(entries)), m))))
+    j = draw(st.integers(0, m - 1))
+    if draw(st.booleans()):
+        comps[j] = tuple(sorted(draw(st.sets(st.integers(-4, 40), min_size=1, max_size=8))))
+    if draw(st.booleans()):
+        return tuple(comps), 1
+    doubled = [tuple(2 * a - comp[-1] for a in comp) for comp in comps]
+    if draw(st.booleans()):
+        doubled[j] = tuple(v + 1 for v in doubled[j])
+    return tuple(doubled), 2
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(small_candidates())
+def test_certified_only_what_the_set_fold_accepts(candidate):
+    comps, step = candidate
+    if systems._certified(comps, prod(map(len, comps)), step):
+        assert set_fold_verify(comps, centred=step == 2) == (True, None)
