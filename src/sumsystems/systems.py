@@ -23,10 +23,15 @@ components, the same map centre applies.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they create it with tuple.__new__, skipping the checks of the public
 constructors (centre keeps one, since its input may be any valid SumSystem).
-Verification still never trusts construction.  A system with N <= _NARROW
-is first tried by one bitset product, below.  Any other, and every
-rejection, gets the per-component checks and then is proved genuine by its
-JOF read back or by the Minkowski fold.
+Verification still never trusts construction, and a system has one route
+to a True verdict.  One with N <= _NARROW is certified by one bitset
+product, below.  Any other gets the per-component checks, then its JOF is
+read back (jof_of_system, the inverse of the builders) in time in
+proportion to sum |A_j|.  A reading is accepted only when its JOF rebuilds
+every component exactly; then each k in 0..N-1 has exactly one
+mixed-radix digit string in the JOF's factors, so the components tile
+0..N-1.  Each sum system is the blow-up of exactly one JOF, so a failed
+read is a rejection, whose reason the Minkowski fold names.
 
 The product shifts each component to start at 0 (a plain one must start
 there, a doubled one at -max) and multiplies their bitsets, each the sum of
@@ -44,15 +49,6 @@ values a component (a {0} component passes the product but is refused),
 the starts, and sum of (max - min) <= step*(N-1), so no bitset is wider than
 2N bits whatever the values.
 
-The read-back certificate is the system's JOF, read from the components
-(jof_of_system, the inverse of build_sum_system).  A reading is accepted
-only when the JOF it gives rebuilds every component exactly; then each k in
-0..N-1 has exactly one mixed-radix digit string in the JOF's factors, so the
-components tile 0..N-1.  A read costs time in proportion to sum |A_j|, the
-fold in proportion to N, so the verifiers read first only when
-N >= _READ_RATIO * sum |A_j|.  A system that is not read back, and every
-rejection with its reason, goes to the fold.
-
 Both verifiers share one fold over integers used as bitsets: component A
 becomes the bit-polynomial sum of 2^a over a in A, and the running product
 of these polynomials has coefficient c at 2^s when s arises as a sum in c
@@ -66,11 +62,10 @@ exceeds N - 1 is rejected as not covering; past that check, N distinct
 sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 
 The fold runs under a budget of _BUDGET bits a stage, a sparse stage
-priced at _DENSE bits per sum.  At the first stage past it, the JOF read
-decides instead: each sum system is the blow-up of exactly one JOF, so
-components no JOF builds are refused with "no JOF builds these
-components", and a rejected document costs bounded time and memory
-whatever its N.
+priced at _DENSE bits per sum.  The read has already failed when the fold
+runs, so at the first stage past the budget the components are refused
+with "no JOF builds these components", and a rejected document costs
+bounded time and memory whatever its N.
 """
 
 from __future__ import annotations
@@ -270,23 +265,40 @@ def _read_jof(components) -> Jof | None:
     return jof
 
 
-def jof_of_system(system: SumSystem) -> Jof:
-    """The JOF that build_sum_system turns into this system: its inverse.
-
-    Raises ValueError when no JOF builds the system, as for a system that
-    does not tile 0..N-1 or one with a single-valued component.
-    """
-    jof = _read_jof(system.components)
-    if jof is None:
-        raise ValueError("no JOF builds this system")
-    return jof
-
-
 def _doubled(comp: tuple[int, ...]) -> tuple[int, ...]:
     """An ascending component shifted to be centred, in doubled storage:
     2a - max A_j for each value a."""
     top = comp[-1]
     return tuple([2 * a - top for a in comp])
+
+
+def _undoubled(comp: tuple[int, ...]) -> tuple[int, ...]:
+    """A non-empty doubled component mapped by v -> (v + max) // 2."""
+    top = comp[-1]
+    return tuple([(v + top) >> 1 for v in comp])
+
+
+def jof_of_system(system) -> Jof:
+    """The JOF that build_sum_system or build_centred turns into this
+    system: their inverse.  A centred system is read through its plain
+    image (_undoubled), and the JOF is returned only when it rebuilds the
+    components exactly.
+
+    Raises ValueError when no JOF builds the system and TypeError when the
+    argument is no SumSystem or CentredSumSystem.
+    """
+    if isinstance(system, SumSystem):
+        jof = _read_jof(system.components)  # checks the rebuild itself
+    elif isinstance(system, CentredSumSystem):
+        comps = system.components
+        plain = tuple(map(_undoubled, comps)) if all(comps) else None
+        # v -> (v + max) // 2 drops parity and symmetry: doubling must undo it
+        jof = _read_jof(plain) if plain and tuple(map(_doubled, plain)) == comps else None
+    else:
+        raise TypeError(f"not a sum system: {type(system).__name__}")
+    if jof is None:
+        raise ValueError("no JOF builds this system")
+    return jof
 
 
 def build_centred(jof) -> CentredSumSystem:
@@ -393,31 +405,20 @@ _DENSE = 64
 # stage is priced at _DENSE bits per sum.
 _BUDGET = 1 << 24
 
-# A system is first read back as a JOF when N >= _READ_RATIO * sum |A_j|.
-# The read and its rebuild cost about 10 us plus 0.07 us per value, while the
-# fold grows with N.  Over 720 random genuine systems with N = 2^5..2^16 on
-# Python 3.11, the read was faster on 245 of the 284 at a ratio of 32 or
-# more and on 64 of the 436 below it; at N <= 2^11 the fold stays faster by
-# a few us, but a genuine system with N <= _NARROW reaches neither: the
-# bitset product of _certified takes it first.
-_READ_RATIO = 32
 
-
-def _fold(components, n: int, cover_reason: str, read_failed: bool = False) -> Verdict:
-    """Fold components, each ascending from 0, whose sizes multiply to n.
+def _fold(components, n: int, cover_reason: str) -> Verdict:
+    """Fold components, each ascending from 0, whose sizes multiply to n and
+    whose JOF did not read back, to name why they are no sum system.
 
     Rejects with cover_reason when the maxima sum past n - 1; otherwise
     reports the first stage whose sums collide.  A dense stage multiplies
-    bitsets and counts the product's set bits, a sparse one (the range
-    wider than _DENSE times the sums) counts a set of sums, so no bitset
-    holds more than _DENSE bits per sum of its stage.  A stage that would
-    pass _BUDGET is not folded: the JOF read decides, unless read_failed
-    says it already ran and found none.  A component whose maximum is
-    below _NARROW becomes its bitset as a sum of shifted ones, a wider one
-    through a bytearray; either way its bitset has max + 1 bits, within its
-    dense stage's bound.  A collision-free fold has n distinct sums within
-    0..n-1, so it covers them (and when the maxima sum below n - 1 it must
-    collide).
+    bitsets (of _bitset, max + 1 bits each) and counts the product's set
+    bits, a sparse one (the range wider than _DENSE times the sums) counts
+    a set of sums, so no bitset holds more than _DENSE bits per sum of its
+    stage.  A stage that would pass _BUDGET is not folded: the read has
+    failed, so no JOF builds the components.  A collision-free fold has n
+    distinct sums within 0..n-1, so it covers them (and when the maxima sum
+    below n - 1 it must collide).
     """
     if sum([comp[-1] for comp in components]) > n - 1:
         return False, cover_reason
@@ -427,8 +428,6 @@ def _fold(components, n: int, cover_reason: str, read_failed: bool = False) -> V
         width += comp[-1]
         size *= len(comp)
         if width > _BUDGET and _DENSE * size > _BUDGET:
-            if not read_failed and _read_jof(components) is not None:
-                return True, None
             return False, "no JOF builds these components"
         if width <= _DENSE * size:
             if isinstance(acc, set):
@@ -468,24 +467,23 @@ def _certified(components, n: int, step: int) -> bool:
 
 def _verdict(components, n: int, cover_reason: str) -> Verdict:
     """Verdict on components, each an ascending tuple from 0, whose sizes
-    multiply to n: (True, None) when a JOF read back certifies them, else
-    the fold's verdict."""
-    read = n >= _READ_RATIO * sum(map(len, components))
-    if read and _read_jof(components) is not None:
+    multiply to n: (True, None) when their JOF reads back, else the fold's
+    reason."""
+    if _read_jof(components) is not None:
         return True, None
-    return _fold(components, n, cover_reason, read)
+    return _fold(components, n, cover_reason)
 
 
 def verify_sum_system(system: SumSystem) -> Verdict:
     """Full check that the components form a sum system.
 
-    A system with N <= _NARROW is first certified by one bitset product.
-    Otherwise each component must contain 0, be palindromic (A = max A - A),
-    and the sums must reach 0..N-1 with no collision: shown by a JOF read
-    back or by the Minkowski fold, which alone gives every rejection.  Past
-    the per-component checks, a system with sum of max A_j > N - 1 is
-    reported as not covering, even where a collision also occurs; otherwise
-    the first component whose addition collides is reported.
+    A system with N <= _NARROW is certified by one bitset product.
+    Otherwise each component must contain 0 and be palindromic
+    (A = max A - A), and then the system is genuine exactly when its JOF
+    reads back.  When it does not, the Minkowski fold names the reason: a
+    system with sum of max A_j > N - 1 is reported as not covering, even
+    where a collision also occurs; otherwise the first component whose
+    addition collides is reported.
     """
     comps, n = system.components, system.N
     if _certified(comps, n, 1):
@@ -504,13 +502,13 @@ def verify_sum_system(system: SumSystem) -> Verdict:
 def verify_centred(centred: CentredSumSystem) -> Verdict:
     """Full check on doubled values: sums must hit 2k - (N - 1), k in 0..N-1.
 
-    A system with N <= _NARROW is first certified by one bitset product of
-    the components shifted by their maxima.  Otherwise, after the symmetry
-    and parity checks, each doubled component with
-    maximum M is mapped by v -> (v + M) / 2 onto 0..M.  The map is affine,
-    so the mapped components tile 0..N-1 exactly when the doubled ones tile
-    -(N-1)..N-1 in steps of 2; the mapped components take the route of
-    verify_sum_system, with its reason precedence.
+    A system with N <= _NARROW is certified by one bitset product of the
+    components shifted by their maxima.  Otherwise, after the symmetry and
+    parity checks, each doubled component with maximum M is mapped by
+    v -> (v + M) / 2 onto 0..M.  The map is affine, so the mapped
+    components tile 0..N-1 exactly when the doubled ones tile -(N-1)..N-1
+    in steps of 2; they take the route of verify_sum_system, read then
+    fold, with its reason precedence.
     """
     comps, n = centred.components, centred.N
     if _certified(comps, n, 2):
@@ -521,11 +519,10 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
             return False, f"component {j} has fewer than 2 values"
         if not _symmetric(comp):
             return False, f"component {j} is not symmetric about 0"
-        top = comp[-1]
-        mapped = tuple([(v + top) >> 1 for v in comp])
-        # comp sums to 0, so 2 * sum(mapped) falls short of len(comp) * top
-        # by the number of values whose parity differs from top's
-        if 2 * sum(mapped) != len(comp) * top:
+        mapped = _undoubled(comp)
+        # comp sums to 0, so 2 * sum(mapped) falls short of len(comp) * max
+        # by the number of values whose parity differs from the maximum's
+        if 2 * sum(mapped) != len(comp) * comp[-1]:
             return False, f"component {j} mixes parities"
         plain.append(mapped)
     return _verdict(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")

@@ -5,9 +5,10 @@ oracles.set_fold_verify is the verifiers' original route.  Verdicts must
 always agree.  Reasons must agree whenever sum of max A_j <= N - 1; above
 that the fold reports non-coverage before it looks for collisions.  The
 fold multiplies bitsets on dense stages and adds sets on sparse ones, so
-systems whose stages switch between the two are checked as well.  With
-systems._READ_RATIO at 0 every system is read first; the verdicts and
-reasons must then be those of the fold alone.
+systems whose stages switch between the two are checked as well.  A system
+past the certificate is read back first and folded only when the read
+fails; the verdicts and reasons must be those of the fold alone, got with
+the certificate and the read patched to fail.
 """
 
 import json
@@ -62,6 +63,15 @@ def check_against_oracle(system):
     if sum(comp[-1] for comp in system.components) <= system.N - 1:
         assert got == want, system
     return got
+
+
+def by_the_fold_alone(cases):
+    """Verdicts (plain, centred) on (plain, centred) cases when the
+    certificate and the JOF read both fail, so the fold decides alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(systems, "_certified", lambda *args: False)
+        patch.setattr(systems, "_read_jof", lambda components: None)
+        return [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
 
 
 def blow_up(jof, m):
@@ -184,12 +194,9 @@ def test_random_palindromic_components(comps):
 @given(st.lists(palindromic(), min_size=1, max_size=4))
 def test_read_route_on_random_palindromic_components(comps):
     plain = SumSystem(tuple(comps))
-    for system, verify in ((plain, verify_sum_system), (centre(plain), verify_centred)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(systems, "_READ_RATIO", math.inf)
-            fold_alone = verify(system)
-            patch.setattr(systems, "_READ_RATIO", 0)
-            assert verify(system) == fold_alone
+    centred = centre(plain)
+    want = by_the_fold_alone([(plain, centred)])
+    assert [(verify_sum_system(plain), verify_centred(centred))] == want
 
 
 @st.composite
@@ -286,6 +293,13 @@ def systems_up_to_96():
             yield plain, centre(plain)
 
 
+@pytest.fixture(scope="module")
+def small_systems():
+    """systems_up_to_96() and their verdicts by the fold alone."""
+    cases = list(systems_up_to_96())
+    return cases, by_the_fold_alone(cases)
+
+
 def recording_fold(monkeypatch):
     """Patch the verifiers' fold with one that keeps each verdict it gives."""
     verdicts = []
@@ -304,17 +318,22 @@ def no_fold(*args):
 
 
 class TestReadRoute:
-    def test_every_small_system_as_by_the_fold_alone(self, monkeypatch):
-        cases = list(systems_up_to_96())
-        monkeypatch.setattr(systems, "_READ_RATIO", math.inf)
-        fold_alone = [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
-        monkeypatch.setattr(systems, "_READ_RATIO", 0)
+    def test_every_small_system_as_by_the_fold_alone(self, monkeypatch, small_systems):
+        cases, fold_alone = small_systems
         folded = recording_fold(monkeypatch)
         assert [(verify_sum_system(p), verify_centred(c)) for p, c in cases] == fold_alone
-        # every genuine system was read back: the fold only rejected
+        # every genuine system was certified or read back: the fold only rejected
         assert folded and not any(ok for ok, _ in folded)
         verdicts = {ok for pair in fold_alone for ok, _ in pair}
         assert verdicts == {True, False}
+
+    def test_genuine_system_of_many_values_skips_the_fold(self, monkeypatch):
+        # N = 2048 is only 21 times its 96 values: the read decides it too
+        monkeypatch.setattr(systems, "_fold", no_fold)
+        system = build_sum_system(((1, 32), (2, 64)))
+        assert system.N == 2048 and sum(system.cardinalities) == 96
+        assert verify_sum_system(system) == (True, None)
+        assert verify_centred(centre(system)) == (True, None)
 
     def test_genuine_large_system_skips_the_fold(self, monkeypatch):
         monkeypatch.setattr(systems, "_fold", no_fold)
@@ -377,7 +396,8 @@ def counting_reads(monkeypatch):
 
 class TestFoldBudget:
     """A fold stage past systems._BUDGET bits is not folded: the JOF read
-    decides, as each sum system is the blow-up of exactly one JOF."""
+    has failed before the fold, and each sum system is the blow-up of
+    exactly one JOF, so the components are refused."""
 
     def test_last_stage_within_the_budget_names_the_collision(self):
         assert systems._BUDGET == 1 << 24
@@ -389,27 +409,17 @@ class TestFoldBudget:
     # larger k run only in a memory-limited subprocess (tests/test_cli.py),
     # as a fold without the budget would grow with 2^k
     @pytest.mark.parametrize("k", [25, 27])
-    @pytest.mark.parametrize("read_ratio", [systems._READ_RATIO, math.inf])
-    def test_past_the_budget_the_read_decides_once(self, monkeypatch, k, read_ratio):
-        monkeypatch.setattr(systems, "_READ_RATIO", read_ratio)
+    def test_past_the_budget_the_read_decides_once(self, monkeypatch, k):
         reads = counting_reads(monkeypatch)
         assert verify_sum_system(distinct_until_last(k)) == (False, UNBUILT)
         assert verify_centred(distinct_until_last(k, centred=True)) == (False, UNBUILT)
         assert len(reads) == 2
 
-    @pytest.fixture(scope="class")
-    def small_systems(self):
-        """systems_up_to_96() and their verdicts by the fold alone."""
-        cases = list(systems_up_to_96())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(systems, "_READ_RATIO", math.inf)
-            return cases, [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
-
     @pytest.mark.parametrize("budget", [1 << 4, 1 << 6])
     def test_every_small_system_keeps_its_verdict(self, monkeypatch, small_systems, budget):
-        # with no read before the fold, the budget alone routes to the read
+        # under a small budget a rejection the fold would name is refused
+        # as unbuilt instead, and no verdict changes
         cases, fold_alone = small_systems
-        monkeypatch.setattr(systems, "_READ_RATIO", math.inf)
         monkeypatch.setattr(systems, "_BUDGET", budget)
         budgeted = [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
         changed = 0

@@ -228,8 +228,14 @@ class TestJofOfSystem:
         for jof in all_jofs_up_to(96):
             assert jof_of_system(build_sum_system(jof)) == jof
 
+    def test_inverts_the_centred_builder_exhaustive_small(self):
+        for jof in all_jofs_up_to(96):
+            assert jof_of_system(build_centred(jof)) == jof
+
     def test_worked_example(self):
         assert jof_of_system(SumSystem(SYSTEM_A)) == JOF_A
+        assert jof_of_system(centre(SumSystem(SYSTEM_A))) == JOF_A
+        assert jof_of_system(CentredSumSystem(CENTRED_A)) == JOF_A
 
     def test_reads_permuted_components(self):
         # {0, 2} + {0, 1} tiles 0..3: part 2 takes the first factor
@@ -251,6 +257,31 @@ class TestJofOfSystem:
     def test_no_jof_builds_it(self, comps):
         with pytest.raises(ValueError, match="no JOF builds this system"):
             jof_of_system(SumSystem(comps))
+
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            ((-2, 0, 2), (-2, 0, 2)),
+            # unvalidated: its image (v + 2) // 2 is {0, 1, 2}, built by
+            # ((1, 3),), but that JOF doubled is {-2, 0, 2}
+            ((-2, 1, 2),),
+            # unvalidated: an empty component has no image
+            ((), (-1, 1)),
+        ],
+        ids=["collision", "mixed-parity", "empty"],
+    )
+    def test_no_jof_builds_the_centred_system(self, comps):
+        with pytest.raises(ValueError, match="no JOF builds this system"):
+            jof_of_system(tuple.__new__(CentredSumSystem, (comps,)))
+
+    @pytest.mark.parametrize(
+        "arg",
+        [[[0, 1]], ((0, 1),), None, to_sum_and_distance(build_centred(JOF_A))],
+        ids=["list", "tuple", "none", "sum-and-distance"],
+    )
+    def test_refuses_what_is_not_a_system(self, arg):
+        with pytest.raises(TypeError):
+            jof_of_system(arg)
 
 
 class TestStatistics:
