@@ -62,10 +62,11 @@ exceeds N - 1 is rejected as not covering; past that check, N distinct
 sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 
 The fold runs under a budget of _BUDGET bits a stage, a sparse stage
-priced at _DENSE bits per sum.  The read has already failed when the fold
-runs, so at the first stage past the budget the components are refused
-with "no JOF builds these components", and a rejected document costs
-bounded time and memory whatever its N.
+priced at _DENSE bits per sum, and a dense stage's product under a price
+of _PRICE, which follows its operands.  The read has already failed when
+the fold runs, so at the first stage past either the components are
+refused with "no JOF builds these components", and a rejected document
+costs bounded time and memory whatever its N.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from collections import namedtuple
 # module-level: importing it inside tau_c cost 1.3-1.8 us a call
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import isqrt, prod
 from operator import itemgetter, lt, mul, neg
 
 from .arith import _Record
@@ -405,6 +406,17 @@ _DENSE = 64
 # stage is priced at _DENSE bits per sum.
 _BUDGET = 1 << 24
 
+# A dense stage's product is priced at its width times the square root of
+# the number of values of its sparser operand (the sums so far, or the
+# component): Karatsuba splits an operand of c values down to pieces of one
+# value each, about c^0.585 passes over the other.  Measured on Python 3.11
+# (2 shared CPUs): products priced just under 2^26 took 0.05-0.4 s, at
+# 2^27.5 1.6 s and at 2^28 2.5 s; two bitsets of 2^23 bits and 131,072
+# values each, priced at 2^32.5, took 4.5 s.  The sums of a system past
+# the cover check lie below N, so any system with N <= 2^20 prices its
+# stages at most at N^1.25 = 2^25.
+_PRICE = 1 << 26
+
 
 def _fold(components, n: int, cover_reason: str) -> Verdict:
     """Fold components, each ascending from 0, whose sizes multiply to n and
@@ -415,8 +427,9 @@ def _fold(components, n: int, cover_reason: str) -> Verdict:
     bitsets (of _bitset, max + 1 bits each) and counts the product's set
     bits, a sparse one (the range wider than _DENSE times the sums) counts
     a set of sums, so no bitset holds more than _DENSE bits per sum of its
-    stage.  A stage that would pass _BUDGET is not folded: the read has
-    failed, so no JOF builds the components.  A collision-free fold has n
+    stage.  A stage that would pass _BUDGET, or a dense one whose product
+    would pass _PRICE, is not folded: the read has failed, so no JOF builds
+    the components.  A collision-free fold has n
     distinct sums within 0..n-1, so it covers them (and when the maxima sum
     below n - 1 it must collide).
     """
@@ -425,11 +438,14 @@ def _fold(components, n: int, cover_reason: str) -> Verdict:
     acc: set[int] | int = 1
     width = size = 1
     for j, comp in enumerate(components, start=1):
+        fewer = min(size, len(comp))
         width += comp[-1]
         size *= len(comp)
-        if width > _BUDGET and _DENSE * size > _BUDGET:
+        dense = width <= _DENSE * size
+        if (width > _BUDGET and _DENSE * size > _BUDGET
+                or dense and width * isqrt(fewer) > _PRICE):
             return False, "no JOF builds these components"
-        if width <= _DENSE * size:
+        if dense:
             if isinstance(acc, set):
                 acc = _bitset(sorted(acc))
             acc *= _bitset(comp)

@@ -1,8 +1,10 @@
 """Slow, independent reference implementations used only by the tests.
 
 Apart from all_jofs_up_to, a walk over the package's own JOF enumeration
-that feeds the system tests, and oracle_document, which lays that
-enumeration out as the CLI's document, nothing here imports from the package:
+that feeds the system tests, oracle_document, which lays that enumeration
+out as the CLI's document, and egf_convolution_tuple_count, the package's
+former fixed-tuple count read from its factorisation and difference
+table, nothing here imports from the package:
 factorisation is naive trial division, convolution scans 1..n, and the
 counting oracles enumerate tuples outright.  Frozen expected values in
 the tests were produced by these functions.
@@ -141,6 +143,31 @@ def cartesian_tuple_count(parts) -> int:
             weight //= factorial(length)
         total += weight * prod(s[length] for s, length in zip(series, lengths))
     return total
+
+
+def egf_convolution_tuple_count(parts) -> int:
+    """JOFs of a fixed tuple by multiplying the parts' exponential generating
+    functions one part at a time, kept in integers as the binomial
+    convolution acc'(L) = sum over a of C(L, a) acc(a) s_j(L - a), where
+    s_j(l) is the signed square-free count of n_j into l factors.  The count
+    is the sum of the product's coefficients.  Cost: about (Omega total)^2
+    big-integer products, so it stays usable on 8677099422351360000 and
+    2^62, where cartesian_tuple_count's trial division does not.
+    """
+    from sumsystems.arith import _difference_table, factorise
+
+    acc = [1]
+    for n in parts:
+        signature = factorise(n).signature
+        omega = sum(signature)
+        series = _difference_table(signature)[1]
+        step = [0] * (len(acc) + omega)
+        for a, x in enumerate(acc):
+            if x:
+                for length in range(signature[0], omega + 1):
+                    step[a + length] += comb(a + length, a) * x * series[length]
+        acc = step
+    return sum(acc)
 
 
 def generalised_d(k: int, n: int) -> int:

@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 from sumsystems.cli import run
+from sumsystems.jof import count_for_tuple
 
 from oracles import generalised_d, oracle_document
 
 WORKED = "1:3,3:3,1:3,3:2,2:5"
 BIG_TUPLE = "2,49,3,35,98"  # 63,000 JOFs, 22.9 MB of JSON
+WORST = 8677099422351360000  # signature (25, 10, 4, 2, 1, 1), Omega 43
 SUMSYS = [sys.executable, "-m", "sumsystems.cli"]
 
 
@@ -191,6 +193,17 @@ class TestEnumerate:
                               capture_output=True, text=True, env=subprocess_env(),
                               preexec_fn=limit_memory, timeout=60)
         assert time.perf_counter() - start < 2
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: enumeration exceeds the cap of 1000000 results\n"
+
+    def test_long_tuple_refused_by_its_orders(self):
+        # 200 parts have at least 200! JOFs, so nothing is counted
+        start = time.perf_counter()
+        proc = subprocess.run([*SUMSYS, "enumerate", "--tuple", ",".join([str(WORST)] * 200)],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=60)
+        assert time.perf_counter() - start < 5
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == "error: enumeration exceeds the cap of 1000000 results\n"
@@ -469,6 +482,29 @@ class TestVerify:
         else:
             assert reason == "no JOF builds these components"
 
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_dense_rejection_in_bounded_time(self, tmp_path, doubled):
+        # two palindromic components of 131,072 random values below 2^23:
+        # N = 2^34, the JOF read fails, and the fold's product of two
+        # 2^23-bit bitsets took 4.4-5.4 s before it found a collision
+        rng = random.Random(18)
+        top = (1 << 23) - 1
+        comps = []
+        for _ in range(2):
+            low = [0, *rng.sample(range(1, (top + 1) // 2), (1 << 16) - 1)]
+            comp = sorted(low + [top - v for v in low])
+            comps.append([2 * v - top for v in comp] if doubled else comp)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"N": 1 << 34, "components": comps, "doubled": doubled}))
+        start = time.perf_counter()
+        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
+                              capture_output=True, text=True, env=subprocess_env(),
+                              preexec_fn=limit_memory, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["reason"] == "no JOF builds these components"
+
     def test_value_past_the_digit_cap(self, capsys, tmp_path):
         # rejected before int() parses it, which is quadratic in the digits
         path = tmp_path / "huge.json"
@@ -620,6 +656,24 @@ class TestHugeValues:
             assert proc.stdout == f"{expected}\n"
         else:
             assert json.loads(proc.stdout)[key] == expected
+
+
+class TestLongTuples:
+    """`count --tuple` takes time about linear in its number of parts."""
+
+    @pytest.mark.parametrize("parts", [(WORST,) * 200, (2,) * 10_000],
+                             ids=["200-worst", "10000-twos"])
+    def test_count_in_bounded_time(self, exact_digits, parts):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [*SUMSYS, "count", "--tuple", ",".join(map(str, parts)), "--format", "plain"],
+            capture_output=True, text=True, env=subprocess_env(), preexec_fn=limit_memory,
+            timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 20
+        assert proc.stdout == f"{count_for_tuple(parts)}\n"
 
 
 class TestCheck:

@@ -394,6 +394,20 @@ def counting_reads(monkeypatch):
     return reads
 
 
+def refused_as_unbuilt(cases, fold_alone):
+    """Verify every (plain, centred) case and return how many verdicts
+    differ from the fold alone's; each may differ only by a rejection
+    refused as unbuilt."""
+    changed = 0
+    for want_pair, (plain, centred) in zip(fold_alone, cases):
+        for want, got in zip(want_pair, (verify_sum_system(plain), verify_centred(centred))):
+            assert got[0] == want[0]
+            if got != want:
+                assert got == (False, UNBUILT), (want, got)
+                changed += 1
+    return changed
+
+
 class TestFoldBudget:
     """A fold stage past systems._BUDGET bits is not folded: the JOF read
     has failed before the fold, and each sum system is the blow-up of
@@ -419,17 +433,16 @@ class TestFoldBudget:
     def test_every_small_system_keeps_its_verdict(self, monkeypatch, small_systems, budget):
         # under a small budget a rejection the fold would name is refused
         # as unbuilt instead, and no verdict changes
-        cases, fold_alone = small_systems
         monkeypatch.setattr(systems, "_BUDGET", budget)
-        budgeted = [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
-        changed = 0
-        for want_pair, got_pair in zip(fold_alone, budgeted):
-            for want, got in zip(want_pair, got_pair):
-                assert got[0] == want[0]
-                if got != want:
-                    assert got == (False, UNBUILT), (want, got)
-                    changed += 1
-        assert changed  # the budget was reached on rejected systems
+        assert refused_as_unbuilt(*small_systems)  # the budget was reached on rejected systems
+
+    def test_every_small_system_keeps_its_verdict_under_a_low_price(
+        self, monkeypatch, small_systems
+    ):
+        # a dense stage priced past systems._PRICE is refused as unbuilt
+        # instead of multiplied, and no verdict changes
+        monkeypatch.setattr(systems, "_PRICE", 1 << 6)
+        assert refused_as_unbuilt(*small_systems)  # the price was reached on rejected systems
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

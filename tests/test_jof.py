@@ -1,9 +1,12 @@
 """Joint ordered factorisations: validation, enumeration, closed-form count."""
 
 import random
+import time
+from math import factorial, prod
 
 import pytest
 
+from sumsystems import jof
 from sumsystems.arith import nontrivial_divisor
 from sumsystems.jof import (
     CapExceeded,
@@ -18,7 +21,7 @@ from sumsystems.jof import (
     validate,
 )
 
-from oracles import cartesian_tuple_count
+from oracles import cartesian_tuple_count, egf_convolution_tuple_count
 
 WORKED_JOF = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
 
@@ -274,6 +277,141 @@ class TestCountForTuple:
         for bad in ((), (1,), (2, 1)):
             with pytest.raises(ValueError):
                 count_for_tuple(bad)
+
+
+WORST = 8677099422351360000  # signature (25, 10, 4, 2, 1, 1), Omega 43
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def partitions(total, largest):
+    """Partitions of total into parts <= largest, in descending order."""
+    if total == 0:
+        yield ()
+        return
+    for e in range(min(total, largest), 0, -1):
+        for rest in partitions(total - e, e):
+            yield (e,) + rest
+
+
+# 40 values of Omega 16 with distinct signatures, none a prime power
+DISTINCT = [
+    prod(p**e for p, e in zip(PRIMES, signature))
+    for signature in partitions(16, 15)
+    if len(signature) <= len(PRIMES)
+][:40]
+
+
+def recording_power_product(monkeypatch):
+    """Patch the power recurrence with one that records the copies of each
+    signature it is given."""
+    calls = []
+    power = jof._power_product
+
+    def recorded(groups):
+        calls.append(sorted(k for _, k in groups))
+        return power(groups)
+
+    monkeypatch.setattr(jof, "_power_product", recorded)
+    return calls
+
+
+class TestCountRoutes:
+    """count_for_tuple from scaled integer series, against the binomial EGF
+    convolution it replaced: plain products, the power recurrence for
+    signatures with many copies, and the multinomial of prime powers."""
+
+    def test_matches_the_convolution_oracle(self):
+        pool = [2, 4, 6, 12, 30, 64, 360, 720720, 3**39, 2**62,
+                97772875200, WORST, 2 * 3**30, 6**20]
+        rng = random.Random(211)
+        for _ in range(150):
+            parts = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 8)))
+            assert count_for_tuple(parts) == egf_convolution_tuple_count(parts), parts
+
+    def test_matches_the_cartesian_sum_with_repeats(self):
+        # up to 3 values, each repeated up to 2 * _SPLIT + 1 times
+        rng = random.Random(223)
+        for _ in range(40):
+            values = rng.sample([4, 6, 8, 10, 12, 18], rng.randrange(1, 4))
+            parts = [n for n in values for _ in range(rng.randrange(1, 2 * jof._SPLIT + 2))]
+            rng.shuffle(parts)
+            parts = tuple(parts[:8])
+            assert count_for_tuple(parts) == cartesian_tuple_count(parts), parts
+
+    @pytest.mark.parametrize("value", [12, 720720, 97772875200, WORST])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_one_signature_around_the_split(self, monkeypatch, value, offset):
+        copies = jof._SPLIT + offset
+        parts = (value,) * copies + (6, 2**62, 10)
+        calls = recording_power_product(monkeypatch)
+        assert count_for_tuple(parts) == egf_convolution_tuple_count(parts)
+        assert calls == ([[copies]] if copies >= jof._SPLIT else [])
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_two_signatures_around_the_split(self, monkeypatch, offset):
+        # the second signature takes the recurrence from 2 * _SPLIT copies
+        copies = 2 * jof._SPLIT + offset
+        parts = (720720, 97772875200) * copies + (12,)
+        calls = recording_power_product(monkeypatch)
+        assert count_for_tuple(parts) == egf_convolution_tuple_count(parts)
+        assert calls == ([[copies, copies]] if offset == 0 else [[copies]])
+
+    def test_prime_powers_are_a_multinomial(self, monkeypatch):
+        def no_polynomial(*args):
+            raise AssertionError("a prime-power tuple multiplied polynomials")
+
+        monkeypatch.setattr(jof, "_product", no_polynomial)
+        monkeypatch.setattr(jof, "_power_product", no_polynomial)
+        rng = random.Random(227)
+        for _ in range(100):
+            omegas = [rng.randrange(1, 63) for _ in range(rng.randrange(1, 9))]
+            parts = tuple(rng.choice((2, 3, 5)) ** e if e <= 27 else 2**e for e in omegas)
+            expected = factorial(sum(omegas)) // prod(map(factorial, omegas))
+            assert count_for_tuple(parts) == expected
+        assert count_for_tuple((2**62,) * 3) == egf_convolution_tuple_count((2**62,) * 3)
+
+    def test_long_tuples(self):
+        # linear in the number of parts: n! for n parts of 2, and one
+        # recurrence for many copies of the worst signature
+        assert count_for_tuple((2,) * 3000) == factorial(3000)
+        parts = (WORST,) * 24
+        assert count_for_tuple(parts) == egf_convolution_tuple_count(parts)
+
+    @pytest.mark.parametrize("groups, copies", [(40, 1), (40, 2), (40, 3), (20, 4)])
+    def test_no_slower_than_the_convolution(self, monkeypatch, groups, copies):
+        # Many distinct signatures with few copies each.  Sending every
+        # repeated signature through the recurrence took up to 3 times the
+        # oracle's time here, and plain products about a fifth of it
+        # (Python 3.11)
+        calls = recording_power_product(monkeypatch)
+        parts = tuple(n for n in DISTINCT[:groups] for _ in range(copies))
+        start = time.perf_counter()
+        expected = egf_convolution_tuple_count(parts)
+        oracle = time.perf_counter() - start
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert count_for_tuple(parts) == expected
+            best = min(best, time.perf_counter() - start)
+        assert best <= oracle, (best, oracle)
+        assert calls == ([[copies]] * 3 if copies >= jof._SPLIT else [])
+
+
+class TestCapByOrders:
+    def test_refused_by_m_factorial_before_counting(self, monkeypatch):
+        def no_count(parts):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(jof, "count_for_tuple", no_count)
+        with pytest.raises(CapExceeded):
+            enumerate_jofs([2] * 20)  # 20! > 10^6
+        with pytest.raises(CapExceeded):
+            enumerate_jofs((2, 2, 2), cap=5)
+        with pytest.raises(CapExceeded):
+            enumerate_jofs((WORST,) * 10**5, cap=10**9)
+
+    def test_m_factorial_at_the_cap_enumerates(self):
+        assert len(enumerate_jofs((2, 2, 2), cap=6)) == 6
 
 
 class TestTwelveStartingWithPartOne:
