@@ -44,10 +44,11 @@ shifted component is itself a sum (the other components add their 0), so
 even: halved, the components are a sum system.  Each sum system is the
 blow-up of exactly one JOF, so its components contain 0 and are
 palindromic, and their doubled forms are symmetric and of one parity: every
-per-component check would pass.  Guards run before any shift: at least 2
-values a component (a {0} component passes the product but is refused),
-the starts, and sum of (max - min) <= step*(N-1), so no bitset is wider than
-2N bits whatever the values.
+per-component check would pass.  Each component's guards run before it is
+shifted: at least 2 values (a {0} component passes the product but is
+refused), its start, and the running sum of (max - min) over it and the
+components before it <= step*(N-1), so no bitset is wider than 2N bits
+whatever the values.
 
 Both verifiers share one fold over integers used as bitsets: component A
 becomes the bit-polynomial sum of 2^a over a in A, and the running product
@@ -76,7 +77,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, prod
-from operator import itemgetter, lt, mul, neg
+from operator import lt, mul, neg
 
 from .arith import _Record
 from .jof import Jof, _checked_jof
@@ -205,15 +206,17 @@ class SumAndDistanceSystem(
 
 
 def _blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:
-    """The m components of a checked JOF, each sorted ascending."""
-    comps: list[list[int]] = [[0] for _ in range(m)]
+    """The m components of a checked JOF, each sorted ascending: a part's
+    first entry gives its progression F(l) * {0..f_l - 1}, each later one adds it."""
+    comps: list = [None] * m
     partial = 1
     for part, factor in jof:
         base = comps[part - 1]
         # blocks for successive multiples of the partial product stay disjoint
         # because the values built so far all lie below it
         offsets = range(0, partial * factor, partial)
-        comps[part - 1] = [a + offset for offset in offsets for a in base]
+        comps[part - 1] = (offsets if base is None
+                           else [a + offset for offset in offsets for a in base])
         partial *= factor
     return tuple(map(tuple, comps))
 
@@ -318,10 +321,14 @@ def centre(system: SumSystem) -> CentredSumSystem:
     2a - max A_j keeps the ascending order and gives every value the parity
     of max A_j.
     """
-    comps = tuple(map(_doubled, system.components))
-    if not all(map(_symmetric, comps)):
-        raise ValueError("centred components must be symmetric about 0")
-    return tuple.__new__(CentredSumSystem, (comps,))
+    comps = []
+    for comp in system.components:
+        top = comp[-1]
+        doubled = tuple([2 * a - top for a in comp])
+        if not _symmetric(doubled):
+            raise ValueError("centred components must be symmetric about 0")
+        comps.append(doubled)
+    return tuple.__new__(CentredSumSystem, (tuple(comps),))
 
 
 def to_sum_and_distance(centred: CentredSumSystem) -> SumAndDistanceSystem:
@@ -465,18 +472,19 @@ def _certified(components, n: int, step: int) -> bool:
     (step 1) starting at 0 and doubled ones (step 2) at -max, each with at
     least 2 values, have sums 0, step, ..., step*(n - 1) once each when
     shifted to start at 0.  Only a genuine system passes (module
-    docstring); False decides nothing."""
-    if n > _NARROW or min(map(len, components), default=0) < 2:
+    docstring); False decides nothing.  Each component is shifted only past
+    its guards: its size, its start, and sum of (max - min) so far <= step *
+    (n - 1), so no bitset is wider than step * n bits."""
+    if n > _NARROW or not components:
         return False
-    lows = list(map(itemgetter(0), components))
-    tops = list(map(itemgetter(-1), components))
-    if (any(lows) if step == 1 else lows != list(map(neg, tops))):
-        return False
-    # checked before any shift, so no bitset is wider than step * n bits
-    if sum(tops) - sum(lows) > step * (n - 1):
-        return False
-    bits = 1
-    for comp, low in zip(components, lows):
+    room, bits = step * (n - 1), 1
+    for comp in components:
+        if len(comp) < 2:
+            return False
+        low, top = comp[0], comp[-1]
+        room -= top - low
+        if (low if step == 1 else low != -top) or room < 0:
+            return False
         bits *= sum(map((1).__lshift__, map((-low).__add__, comp) if low else comp))
     return bits == ((1 << step * n) - 1) // ((1 << step) - 1)
 

@@ -2,9 +2,11 @@
 
 Apart from all_jofs_up_to, a walk over the package's own JOF enumeration
 that feeds the system tests, oracle_document, which lays that enumeration
-out as the CLI's document, and egf_convolution_tuple_count, the package's
+out as the CLI's document, egf_convolution_tuple_count, the package's
 former fixed-tuple count read from its factorisation and difference
-table, nothing here imports from the package:
+table, and the package's former small-system paths seed_blow_up,
+seed_centre and seed_certified, which build the package's value classes
+and read its _NARROW, nothing here imports from the package:
 factorisation is naive trial division, convolution scans 1..n, and the
 counting oracles enumerate tuples outright.  Frozen expected values in
 the tests were produced by these functions.
@@ -15,6 +17,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import comb, factorial, prod
+from operator import itemgetter, neg
 
 
 def naive_omega(n: int) -> int:
@@ -283,3 +286,58 @@ def set_fold_verify(components, centred: bool) -> tuple[bool, "str | None"]:
     elif acc != set(range(n)):
         return False, f"sums do not cover 0..{n - 1}"
     return True, None
+
+
+def seed_blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:
+    """The m components of a checked JOF, each sorted ascending: the
+    package's former blow-up, every part started from [0]."""
+    comps: list[list[int]] = [[0] for _ in range(m)]
+    partial = 1
+    for part, factor in jof:
+        base = comps[part - 1]
+        # blocks for successive multiples of the partial product stay disjoint
+        # because the values built so far all lie below it
+        offsets = range(0, partial * factor, partial)
+        comps[part - 1] = [a + offset for offset in offsets for a in base]
+        partial *= factor
+    return tuple(map(tuple, comps))
+
+
+def _seed_doubled(comp: tuple[int, ...]) -> tuple[int, ...]:
+    top = comp[-1]
+    return tuple([2 * a - top for a in comp])
+
+
+def _seed_symmetric(comp: tuple[int, ...]) -> bool:
+    return comp == tuple(map(neg, reversed(comp)))
+
+
+def seed_centre(system):
+    """The package's former centre: two passes, doubling then checking
+    symmetry, with the same ValueError."""
+    from sumsystems.systems import CentredSumSystem
+
+    comps = tuple(map(_seed_doubled, system.components))
+    if not all(map(_seed_symmetric, comps)):
+        raise ValueError("centred components must be symmetric about 0")
+    return tuple.__new__(CentredSumSystem, (comps,))
+
+
+def seed_certified(components, n: int, step: int) -> bool:
+    """The package's former bitset certificate: every guard over all
+    components, then the product."""
+    from sumsystems.systems import _NARROW
+
+    if n > _NARROW or min(map(len, components), default=0) < 2:
+        return False
+    lows = list(map(itemgetter(0), components))
+    tops = list(map(itemgetter(-1), components))
+    if (any(lows) if step == 1 else lows != list(map(neg, tops))):
+        return False
+    # checked before any shift, so no bitset is wider than step * n bits
+    if sum(tops) - sum(lows) > step * (n - 1):
+        return False
+    bits = 1
+    for comp, low in zip(components, lows):
+        bits *= sum(map((1).__lshift__, map((-low).__add__, comp) if low else comp))
+    return bits == ((1 << step * n) - 1) // ((1 << step) - 1)

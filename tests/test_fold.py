@@ -33,7 +33,7 @@ from sumsystems.systems import (
     verify_sum_system,
 )
 
-from oracles import all_jofs_up_to, set_fold_verify
+from oracles import all_jofs_up_to, seed_certified, set_fold_verify
 
 PLAIN_COVER = "sums do not cover 0..1"
 CENTRED_COVER = "doubled sums do not cover -(N-1)..N-1 in steps of 2"
@@ -490,7 +490,15 @@ class TestCertificate:
             (SumSystem(((0, 2**60), (0, 1))), "sums do not cover 0..3"),
             (CentredSumSystem(((-(2**60), 2**60), (-1, 1))), CENTRED_COVER),
         ]
-        + [(unchecked(CentredSumSystem, comps), reason) for comps, reason in UNVALIDATED_CENTRED],
+        + [(unchecked(CentredSumSystem, comps), reason) for comps, reason in UNVALIDATED_CENTRED]
+        + [
+            # a component's span is checked before that component is
+            # shifted, wherever it stands
+            (SumSystem(((0, 1), (0, 2**60), (0, 1))), "sums do not cover 0..7"),
+            (SumSystem(((0, 1), (0, 1), (0, 2**60))), "sums do not cover 0..7"),
+            (CentredSumSystem(((-1, 1), (-(2**60), 2**60), (-1, 1))), CENTRED_COVER),
+            (CentredSumSystem(((-1, 1), (-1, 1), (-(2**60), 2**60))), CENTRED_COVER),
+        ],
     )
     def test_refused_with_the_reason_of_the_checks(self, system, reason):
         step = 2 if isinstance(system, CentredSumSystem) else 1
@@ -527,3 +535,11 @@ def test_certified_only_what_the_set_fold_accepts(candidate):
     comps, step = candidate
     if systems._certified(comps, prod(map(len, comps)), step):
         assert set_fold_verify(comps, centred=step == 2) == (True, None)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(small_candidates())
+def test_certified_as_the_seed_certificate(candidate):
+    comps, step = candidate
+    n = prod(map(len, comps))
+    assert systems._certified(comps, n, step) == seed_certified(comps, n, step)

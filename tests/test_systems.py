@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumsystems.systems import (
     CentredSumSystem,
@@ -23,7 +24,13 @@ from sumsystems.systems import (
     verify_sum_system,
 )
 
-from oracles import all_jofs_up_to, brute_minkowski, set_fold_verify
+from oracles import (
+    all_jofs_up_to,
+    brute_minkowski,
+    seed_blow_up,
+    seed_centre,
+    set_fold_verify,
+)
 
 # two three-part systems for 270, from the same cardinalities (9, 5, 6)
 JOF_A = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
@@ -102,6 +109,41 @@ class TestBuild:
             with pytest.raises(ValueError) as info:
                 build(((10**12, 2),))
             assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
+
+
+class TestAgainstSeedPaths:
+    """The one-pass blow-up and centre against their former forms,
+    oracles.seed_blow_up and oracles.seed_centre."""
+
+    def test_every_jof_up_to_128(self):
+        for jof in all_jofs_up_to(128):
+            seed = tuple.__new__(SumSystem, (seed_blow_up(jof, max(p for p, _ in jof)),))
+            built = build_sum_system(jof)
+            assert built == seed, jof
+            assert centre(built) == seed_centre(seed) == build_centred(jof), jof
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sets(st.integers(0, 12), min_size=1, max_size=6), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_centre_raises_as_the_seed(self, drawn):
+        # a drawn set, or the set with its mirror image about its maximum
+        comps = [
+            sorted(values | {max(values) - v for v in values}) if mirrored else sorted(values)
+            for values, mirrored in drawn
+        ]
+        system = SumSystem(comps)
+        try:
+            want = seed_centre(system)
+        except ValueError as fault:
+            with pytest.raises(ValueError, match=f"^{fault}$"):
+                centre(system)
+        else:
+            assert centre(system) == want
 
 
 class TestConstructors:
