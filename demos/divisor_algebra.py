@@ -3,18 +3,18 @@
 Run:  python demos/divisor_algebra.py
 """
 
+from math import comb
+
 from sumsystems import (
     associated_divisor,
     big_omega,
     classical_divisor,
-    convolve,
+    divisors,
     factorise,
     mobius,
     nontrivial_divisor,
     squarefree_ordered_count,
 )
-from sumsystems.arith import E, MU, ONE
-from sumsystems.counting import binomial_inversion
 
 n = 360
 pf = factorise(n)
@@ -35,12 +35,15 @@ for j in range(1, big_omega(n) + 2):
     print(f"  c_{j}({n}) = {nontrivial_divisor(j, n)}")
 print()
 
-# the two families are binomial transforms of one another in j
+# the two families are binomial transforms of one another in j:
+# d_j = sum of C(j, i) c_i, and inverting, c_j = sum of (-1)^(j-i) C(j, i) d_i
 ds = [classical_divisor(j, n) for j in range(6)]
 cs = [nontrivial_divisor(j, n) for j in range(6)]
+inverted = [sum((-1) ** (j - i) * comb(j, i) * ds[i] for i in range(j + 1)) for j in range(6)]
 print("binomial inversion of", ds)
-print("             recovers", binomial_inversion(ds))
-assert binomial_inversion(ds) == cs
+print("             recovers", inverted)
+assert inverted == cs
+assert ds == [sum(comb(j, i) * cs[i] for i in range(j + 1)) for j in range(6)]
 print()
 
 # c_j^(r) appends r unconstrained factors; negative r convolves with
@@ -55,9 +58,9 @@ for k in range(3):
 print("three-term recurrence checked for k = 0, 1, 2 at n = 12")
 print()
 
-# Mobius inverts the constant-one function under Dirichlet convolution
-h = convolve(MU, ONE)
-assert all(h(k) == E(k) for k in range(1, 2000))
+# Mobius inverts the constant-one function under Dirichlet convolution:
+# (mu * 1)(k), the sum of mu over the divisors of k, is e(k)
+assert all(sum(mobius(d) for d in divisors(k)) == (k == 1) for k in range(1, 2000))
 print("mu * 1 = e checked for n < 2000", f"(mu(12) = {mobius(12)})")
 print()
 

@@ -13,14 +13,11 @@ for every integer k (d_k = 1^(*k) for k >= 0, mu^(*|k|) for k < 0), is a
 polynomial of degree Omega(n) in k, and depends only on the prime signature
 of n.  One difference table per signature holds every L-th difference the
 counts read; a value at an arbitrary shift is a binomial sum of its own.
-The convolution algebra (ArithmeticFunction, convolve, convolution_power)
-stays as the reference these are tested against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from functools import cached_property, lru_cache
 from itertools import count
 from math import comb, gcd, isqrt
@@ -237,84 +234,6 @@ def modified_mobius(n: int) -> int:
     if pf.n == 1 or not pf.is_squarefree:
         return 0
     return -1 if pf.big_omega % 2 else 1
-
-
-class ArithmeticFunction:
-    """Integer-valued function on the positive integers, memoised per instance.
-
-    Instances form a commutative ring under pointwise + and Dirichlet
-    convolution; only the pieces needed here are implemented.  Each keeps
-    at most _SIGNATURE_CACHE values, dropping the oldest first.
-    """
-
-    __slots__ = ("_rule", "name", "_cache")
-
-    def __init__(self, rule: Callable[[int], int], name: str = "") -> None:
-        self._rule = rule
-        self.name = name
-        self._cache: dict[int, int] = {}
-
-    def __call__(self, n: int) -> int:
-        _check_positive(n)
-        cached = self._cache.get(n)
-        if cached is None:
-            if len(self._cache) >= _SIGNATURE_CACHE:
-                del self._cache[next(iter(self._cache))]
-            cached = self._cache[n] = self._rule(n)
-        return cached
-
-    def __repr__(self) -> str:
-        return f"ArithmeticFunction({self.name or self._rule!r})"
-
-
-def convolve(f: ArithmeticFunction, g: ArithmeticFunction) -> ArithmeticFunction:
-    """Dirichlet convolution: (f * g)(n) = sum over d | n of f(d) g(n/d)."""
-
-    def rule(n: int) -> int:
-        return sum(f(d) * g(n // d) for d in divisors(n))
-
-    return ArithmeticFunction(rule, name=f"({f.name}*{g.name})")
-
-
-def convolution_power(f: ArithmeticFunction, j: int) -> ArithmeticFunction:
-    """f convolved with itself j times; j = 0 gives the identity e.  A value
-    takes O(log j) convolutions over the divisors of n.  A j >= 2**1024 is
-    named in hex, as decimal is quadratic and capped at 4300 digits."""
-    _check_index(j, 0, "j")
-    if j == 0:
-        return E
-    if j == 1:
-        return f
-    shown = j if j < 2**1024 else hex(j)
-    return ArithmeticFunction(lambda n: _power_value(f, j, n), name=f"{f.name}^(*{shown})")
-
-
-def _power_value(f: ArithmeticFunction, j: int, n: int) -> int:
-    """f^(*j)(n) by repeated squaring.  Every square and product is a table
-    over the divisors of n, filled bottom-up, so the call depth does not
-    grow with j and the number of convolutions grows as log j."""
-    divs = divisors(n)
-    square = {d: f(d) for d in divs}  # f^(*2^i) on the divisors of n
-    out = None
-    while True:
-        if j & 1:
-            out = square if out is None else _convolve_on(out, square, divs)
-        j >>= 1
-        if not j:
-            return out[n]
-        square = _convolve_on(square, square, divs)
-
-
-def _convolve_on(f: dict[int, int], g: dict[int, int], divs: tuple[int, ...]) -> dict[int, int]:
-    """f * g on divs, the divisors of some n, from f and g tabled there."""
-    return {d: sum(f[a] * g[d // a] for a in divisors(d)) for d in divs}
-
-
-E = ArithmeticFunction(lambda n: 1 if n == 1 else 0, name="e")
-ONE = ArithmeticFunction(lambda n: 1, name="1")
-MU = ArithmeticFunction(mobius, name="mu")
-ONE_MINUS_E = ArithmeticFunction(lambda n: 0 if n == 1 else 1, name="(1-e)")
-E_MINUS_MU = ArithmeticFunction(lambda n: -modified_mobius(n), name="(e-mu)")
 
 
 @lru_cache(maxsize=_SIGNATURE_CACHE)

@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
             doc = json.load(handle, parse_int=_doc_int)
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         ok, reason = False, f"not valid JSON: {exc}"
         system = None
     else:

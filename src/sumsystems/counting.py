@@ -14,7 +14,6 @@ forms are measured against.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import islice, product, repeat
 from math import comb, factorial
@@ -235,19 +234,6 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
     """
     c = _difference_table(factorise(n).signature)[3][1:] + (0,)  # c_1 .. c_(Omega+1)
     return CountResult(sum(a * a + a * b for a, b in zip(c, c[1:])), "closed-form")
-
-
-def binomial_transform(seq: Sequence[int]) -> list[int]:
-    """a_j = sum over i <= j of C(j, i) b_i."""
-    return [sum(comb(j, i) * seq[i] for i in range(j + 1)) for j in range(len(seq))]
-
-
-def binomial_inversion(seq: Sequence[int]) -> list[int]:
-    """Inverse of binomial_transform: b_j = sum of (-1)**(j-i) C(j, i) a_i."""
-    return [
-        sum((-1) ** (j - i) * comb(j, i) * seq[i] for i in range(j + 1))
-        for j in range(len(seq))
-    ]
 
 
 def brute_force_count(n: int, m: int, cap: int = DEFAULT_CAP) -> CountResult:

@@ -27,6 +27,7 @@ from .arith import (
     _check_index,
     _check_positive,
     _difference_table,
+    big_omega,
     factorise,
     nontrivial_divisors,
 )
@@ -127,14 +128,6 @@ def _checked_jof(jof, m: int | None = None) -> tuple[Jof, dict[int, int]]:
     return jof, products
 
 
-def partial_products(jof) -> tuple[int, ...]:
-    """F(1) = 1, F(l+1) = F(l) * f_l; the last value is N."""
-    out = [1]
-    for _, factor in jof:
-        out.append(out[-1] * factor)
-    return tuple(out)
-
-
 def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
     """All JOFs of a target tuple, in lexicographic (part, factor) order.
 
@@ -178,15 +171,21 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
 
 
 def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
-    """Ordered m-tuples of integers >= 2 with product n, ascending lex."""
+    """Ordered m-tuples of integers >= 2 with product n, ascending lex.
+
+    A first factor f is tried only when n // f has at least m - 1 prime
+    factors, so every branch of the walk ends in a tuple."""
     _check_positive(n)
     _check_index(m, 1, "m")
+    if m > big_omega(n):
+        return []
     if m == 1:
-        return [(n,)] if n >= 2 else []
+        return [(n,)]
     out = []
-    for f in nontrivial_divisors(n)[:-1]:
-        for rest in ordered_factorisations(n // f, m - 1):
-            out.append((f,) + rest)
+    for f in nontrivial_divisors(n):
+        if big_omega(n // f) >= m - 1:
+            for rest in ordered_factorisations(n // f, m - 1):
+                out.append((f,) + rest)
     return out
 
 

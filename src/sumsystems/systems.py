@@ -358,14 +358,6 @@ def from_sum_and_distance(system: SumAndDistanceSystem) -> CentredSumSystem:
     ])
 
 
-def minkowski_sum(a, b) -> tuple[tuple[int, ...], bool]:
-    """Set of pairwise sums and whether every sum was distinct."""
-    a = tuple(a)
-    b = tuple(b)
-    sums = {x + y for x in a for y in b}
-    return tuple(sorted(sums)), len(sums) == len(a) * len(b)
-
-
 # Below this maximum a bitset is the sum of 1 << v, which builds a small
 # integer per value in C; from it on, a bytearray filled in one Python pass.
 # Measured on Python 3.11 with 2 to 256 values: summing shifts takes 0.5-1.05x

@@ -7,9 +7,12 @@ former fixed-tuple count read from its factorisation and difference
 table, and the package's former small-system paths seed_blow_up,
 seed_centre and seed_certified, which build the package's value classes
 and read its _NARROW, nothing here imports from the package:
-factorisation is naive trial division, convolution scans 1..n, and the
-counting oracles enumerate tuples outright.  Frozen expected values in
-the tests were produced by these functions.
+factorisation is naive trial division, convolution scans 1..n or the
+divisors listed from that factorisation, a convolution power squares over
+the same list, and the counting oracles enumerate tuples outright.  The
+Dirichlet convolution, its powers and the binomial transform pair here are
+the reference the package's divisor functions are tested against.  Frozen
+expected values in the tests were produced by these functions.
 """
 
 from __future__ import annotations
@@ -76,6 +79,51 @@ def naive_is_squarefree(n: int) -> bool:
 def naive_convolve(f, g, n: int) -> int:
     """Dirichlet convolution by scanning every candidate divisor."""
     return sum(f(d) * g(n // d) for d in range(1, n + 1) if n % d == 0)
+
+
+def naive_divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, listed from naive_factorise."""
+    divs = [1]
+    for p, e in naive_factorise(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def dirichlet(f, g, n: int) -> int:
+    """Dirichlet convolution over the divisors listed by naive_divisors."""
+    return sum(f(d) * g(n // d) for d in naive_divisors(n))
+
+
+def dirichlet_power(f, j: int, n: int) -> int:
+    """f^(*j)(n) by repeated squaring, each square and product a table over
+    the divisors of n, so j = 10**80 takes a few hundred of them."""
+    divs = naive_divisors(n)
+
+    def times(a, b):
+        return {d: sum(a[k] * b[d // k] for k in divs if d % k == 0) for d in divs}
+
+    out = {d: 1 if d == 1 else 0 for d in divs}
+    square = {d: f(d) for d in divs}
+    while True:
+        if j & 1:
+            out = times(out, square)
+        j >>= 1
+        if not j:
+            return out[n]
+        square = times(square, square)
+
+
+def binomial_transform(seq) -> list[int]:
+    """a_j = sum over i <= j of C(j, i) b_i."""
+    return [sum(comb(j, i) * seq[i] for i in range(j + 1)) for j in range(len(seq))]
+
+
+def binomial_inversion(seq) -> list[int]:
+    """The inverse of binomial_transform: b_j = sum of (-1)**(j-i) C(j, i) a_i."""
+    return [
+        sum((-1) ** (j - i) * comb(j, i) * seq[i] for i in range(j + 1))
+        for j in range(len(seq))
+    ]
 
 
 def naive_mobius_power(r: int, n: int) -> int:
@@ -171,6 +219,19 @@ def egf_convolution_tuple_count(parts) -> int:
                     step[a + length] += comb(a + length, a) * x * series[length]
         acc = step
     return sum(acc)
+
+
+def naive_ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
+    """Ordered m-tuples of integers >= 2 with product n, ascending lex, by
+    trying every first factor 2..n."""
+    if m == 1:
+        return [(n,)] if n >= 2 else []
+    return [
+        (f,) + rest
+        for f in range(2, n + 1)
+        if n % f == 0
+        for rest in naive_ordered_factorisations(n // f, m - 1)
+    ]
 
 
 def generalised_d(k: int, n: int) -> int:

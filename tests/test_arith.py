@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import cache
 from math import comb, gcd
 from pathlib import Path
 
@@ -13,20 +14,12 @@ import pytest
 
 from sumsystems import arith
 from sumsystems.arith import (
-    E,
-    E_MINUS_MU,
-    MU,
-    ONE,
-    ONE_MINUS_E,
-    ArithmeticFunction,
     _binomial_d_sum,
     _difference_table,
     _is_prime,
     associated_divisor,
     big_omega,
     classical_divisor,
-    convolution_power,
-    convolve,
     divisors,
     factorise,
     mobius,
@@ -40,6 +33,8 @@ from sumsystems.counting import stirling2
 from oracles import (
     count_first_block_nontrivial,
     count_tuples,
+    dirichlet,
+    dirichlet_power,
     generalised_d,
     naive_convolve,
     naive_factorise,
@@ -48,6 +43,24 @@ from oracles import (
     naive_omega,
     signed_squarefree_count,
 )
+
+
+# e, 1, 1 - e and e - mu beside the package's mobius, for the oracle's
+# convolutions
+def e(n):
+    return 1 if n == 1 else 0
+
+
+def one(n):
+    return 1
+
+
+def one_minus_e(n):
+    return 0 if n == 1 else 1
+
+
+def e_minus_mu(n):
+    return -modified_mobius(n)
 
 
 class TestFactorise:
@@ -188,69 +201,38 @@ class TestMobius:
 
 
 class TestConvolution:
-    def test_against_naive(self):
-        rng = random.Random(13)
-        named = [E, ONE, MU, ONE_MINUS_E, E_MINUS_MU]
-        for _ in range(100):
-            f, g = rng.choice(named), rng.choice(named)
-            n = rng.randrange(1, 400)
-            assert convolve(f, g)(n) == naive_convolve(f, g, n)
-
     def test_mu_inverts_one(self):
-        h = convolve(MU, ONE)
         for n in range(1, 200):
-            assert h(n) == E(n)
+            assert dirichlet(mobius, one, n) == e(n)
 
     def test_identity_element(self):
-        for f in (ONE, MU, ONE_MINUS_E):
-            h = convolve(f, E)
+        for f in (one, mobius, one_minus_e):
             for n in (1, 2, 12, 97, 360):
-                assert h(n) == f(n)
-
-    def test_power_zero_and_one(self):
-        assert convolution_power(ONE, 0) is E
-        assert convolution_power(MU, 1) is MU
-        with pytest.raises(ValueError):
-            convolution_power(ONE, -1)
+                assert dirichlet(f, e, n) == f(n)
 
     def test_power_matches_repeated_convolve(self):
-        threefold = convolve(ONE, convolve(ONE, ONE))
-        p = convolution_power(ONE, 3)
         for n in range(1, 100):
-            assert p(n) == threefold(n)
+            threefold = dirichlet(one, lambda k: dirichlet(one, one, k), n)
+            assert dirichlet_power(one, 3, n) == threefold
 
     def test_deep_power_does_not_recurse(self):
-        assert convolution_power(ONE, 3000)(12) == classical_divisor(3000, 12)
-        assert convolution_power(MU, 2500)(12) == generalised_d(-2500, 12)
+        assert dirichlet_power(one, 3000, 12) == classical_divisor(3000, 12)
+        assert dirichlet_power(mobius, 2500, 12) == generalised_d(-2500, 12)
 
     @pytest.mark.parametrize("j", [2, 3, 7, 10**6, 2**100 - 1, 10**80])
     def test_power_by_squaring_in_bounded_time(self, j):
         start = time.perf_counter()
         for n in (1, 12, 720, 30030):
-            assert convolution_power(ONE, j)(n) == classical_divisor(j, n), n
-            assert convolution_power(MU, j)(n) == generalised_d(-j, n), n
+            assert dirichlet_power(one, j, n) == classical_divisor(j, n), n
+            assert dirichlet_power(mobius, j, n) == generalised_d(-j, n), n
         assert time.perf_counter() - start < 2
-        assert convolution_power(ONE, j).name == f"1^(*{j})"
 
     def test_power_past_the_decimal_digit_cap(self):
-        # naming 1^(*10^5000) in decimal raised past Python's 4300-digit cap
         j = 10**5000
         start = time.perf_counter()
-        power = convolution_power(ONE, j)
-        assert power(1) == classical_divisor(j, 1)
-        assert power(2) == classical_divisor(j, 2)
+        assert dirichlet_power(one, j, 1) == classical_divisor(j, 1)
+        assert dirichlet_power(one, j, 2) == classical_divisor(j, 2)
         assert time.perf_counter() - start < 2
-        assert power.name == f"1^(*{hex(j)})"
-
-    def test_memoisation_calls_rule_once(self):
-        calls = []
-        f = ArithmeticFunction(lambda n: calls.append(n) or 1)
-        f(10), f(10), f(10)
-        assert calls == [10]
-
-    def test_rejects_nonpositive_argument(self):
-        with pytest.raises(ValueError):
-            ONE(0)
 
 
 class TestClassicalDivisor:
@@ -277,7 +259,7 @@ class TestClassicalDivisor:
         for _ in range(120):
             n = rng.randrange(1, 600)
             j = rng.randrange(0, 6)
-            assert classical_divisor(j, n) == convolution_power(ONE, j)(n)
+            assert classical_divisor(j, n) == dirichlet_power(one, j, n)
 
     def test_generalised_binomial_for_any_j(self):
         for n in (1, 12, 360, 2**62, 897612484786617600):
@@ -336,7 +318,7 @@ class TestNontrivialDivisor:
         for _ in range(120):
             n = rng.randrange(1, 600)
             j = rng.randrange(0, 6)
-            assert nontrivial_divisor(j, n) == convolution_power(ONE_MINUS_E, j)(n)
+            assert nontrivial_divisor(j, n) == dirichlet_power(one_minus_e, j, n)
 
 
 class TestAssociatedDivisor:
@@ -380,15 +362,15 @@ class TestAssociatedDivisor:
             assert associated_divisor(j, r, n) == expected
 
     def test_matches_convolution_route(self):
-        # the convolution algebra is the reference for the binomial d_k sums
+        # (1 - e)^(*j) * 1^(*r), or * mu^(*-r), is the reference for the
+        # binomial d_k sums; each power is tabled once per (j, r)
         for j in range(0, 5):
             for r in range(-5, 6):
-                reference = convolve(
-                    convolution_power(ONE_MINUS_E, j),
-                    convolution_power(ONE if r >= 0 else MU, abs(r)),
-                )
+                nontrivial = cache(lambda d: dirichlet_power(one_minus_e, j, d))
+                upper = cache(lambda d: dirichlet_power(one if r >= 0 else mobius, abs(r), d))
                 for n in range(1, 400):
-                    assert associated_divisor(j, r, n) == reference(n), (j, r, n)
+                    reference = dirichlet(nontrivial, upper, n)
+                    assert associated_divisor(j, r, n) == reference, (j, r, n)
 
     def test_vanishes_above_omega_for_every_r(self):
         for n in (1, 2, 12, 360, 2**40):
@@ -434,7 +416,7 @@ class TestSquarefreeOrderedCount:
     def test_matches_convolution_power(self):
         for n in range(1, 400):
             for length in range(0, big_omega(n) + 2):
-                expected = convolution_power(E_MINUS_MU, length)(n)
+                expected = dirichlet_power(e_minus_mu, length, n)
                 assert squarefree_ordered_count(length, n) == expected, (length, n)
 
     def test_zero_above_omega_at_any_length(self):
@@ -473,7 +455,6 @@ INDEX_CALLS = {
     "associated_divisor j": ("j", lambda x: associated_divisor(x, 1, 12), 0),
     "associated_divisor r": ("r", lambda x: associated_divisor(1, x, 12), None),
     "squarefree_ordered_count": ("length", lambda x: squarefree_ordered_count(x, 12), 0),
-    "convolution_power": ("j", lambda x: convolution_power(ONE, x), 0),
     "stirling2 total": ("total", lambda x: stirling2(x, 1), 0),
     "stirling2 blocks": ("blocks", lambda x: stirling2(3, x), 0),
 }

@@ -1,12 +1,11 @@
-"""Cache policy: every lru_cache and every ArithmeticFunction's values in the
-package are bounded, and the Stirling table keeps only the totals a count can
-use."""
+"""Cache policy: every lru_cache in the package is bounded, and the Stirling
+table keeps only the totals a count can use."""
 
 import importlib
 import pkgutil
 
 import sumsystems
-from sumsystems import arith, counting
+from sumsystems import counting
 
 
 def lru_caches():
@@ -36,15 +35,3 @@ def test_stirling_table_stops_at_total_62():
     assert counting.stirling2(62, 31) > 0
     assert counting.stirling2(3000, 2) == 2**2999 - 1
     assert len(counting._stirling_rows) <= 63
-
-
-def test_arithmetic_function_values_are_bounded():
-    # a power's value fills its base at every divisor of n as well
-    power = arith.convolution_power(arith.ONE_MINUS_E, 2)
-    for n in range(1, 5001):
-        power(n)
-    assert len(power._cache) <= 4096
-    assert len(arith.ONE_MINUS_E._cache) <= 4096
-    assert power(5000) == arith.nontrivial_divisor(2, 5000)
-    assert 1 not in power._cache  # the oldest values go first
-    assert power(1) == 0

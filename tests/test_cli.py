@@ -450,6 +450,18 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_not_utf8(self, capsys, tmp_path, fmt):
+        # a UnicodeDecodeError is a ValueError, which run reports as a usage
+        # error (exit 2), so verify must turn it into a verdict first
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = invoke(capsys, "verify", "--file", str(path), "--format", fmt)
+        assert code == 1
+        assert err == ""
+        reason = out.removeprefix("fail: ") if fmt == "plain" else json.loads(out)["reason"]
+        assert reason.startswith("not valid JSON: 'utf-8' codec can't decode")
+
     def test_too_deep_to_parse(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)

@@ -8,6 +8,7 @@ import pytest
 
 from sumsystems import jof
 from sumsystems.arith import nontrivial_divisor
+from sumsystems.counting import brute_force_count
 from sumsystems.jof import (
     CapExceeded,
     count_for_tuple,
@@ -17,11 +18,14 @@ from sumsystems.jof import (
     jof_to_text,
     ordered_factorisations,
     parse_jof_text,
-    partial_products,
     validate,
 )
 
-from oracles import cartesian_tuple_count, egf_convolution_tuple_count
+from oracles import (
+    cartesian_tuple_count,
+    egf_convolution_tuple_count,
+    naive_ordered_factorisations,
+)
 
 WORKED_JOF = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
 
@@ -106,14 +110,6 @@ def test_single_fault_reasons(jof, parts, reason, inferred):
         with pytest.raises(ValueError) as info:
             infer_parts(jof)
         assert str(info.value) == inferred
-
-
-class TestPartialProducts:
-    def test_worked_example(self):
-        assert partial_products(WORKED_JOF) == (1, 3, 9, 27, 54, 270)
-
-    def test_empty(self):
-        assert partial_products(()) == (1,)
 
 
 class TestInferParts:
@@ -207,6 +203,24 @@ class TestOrderedFactorisations:
                         product *= p
                     assert product == n
                     assert all(p >= 2 for p in parts)
+
+    def test_matches_naive_enumeration(self):
+        for n in range(1, 513):
+            for m in range(1, 11):
+                assert ordered_factorisations(n, m) == naive_ordered_factorisations(n, m), (n, m)
+
+    def test_more_parts_than_prime_factors_in_bounded_time(self):
+        # the walk used to try every ordered factorisation into fewer parts
+        # first: 2^25 into 26 parts took 16.8 s to return []
+        start = time.perf_counter()
+        assert ordered_factorisations(2**62, 63) == []
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert brute_force_count(2**62, 63).value == 0
+        assert time.perf_counter() - start < 1
+
+    def test_as_many_parts_as_prime_factors(self):
+        assert ordered_factorisations(2**62, 62) == [(2,) * 62]
 
 
 class TestCountForTuple:

@@ -14,7 +14,6 @@ from sumsystems.systems import (
     centre,
     from_sum_and_distance,
     jof_of_system,
-    minkowski_sum,
     sigma_a,
     system_from_json,
     system_to_json,
@@ -379,18 +378,6 @@ class TestSumAndDistance:
             assert type(back) is CentredSumSystem and back == c, jof
             count += 1
         assert count > 1000
-
-
-class TestMinkowskiSum:
-    def test_unique(self):
-        values, unique = minkowski_sum((0, 1, 2), (0, 3, 6))
-        assert values == tuple(range(9))
-        assert unique
-
-    def test_collision_flagged(self):
-        values, unique = minkowski_sum((0, 1), (0, 1))
-        assert values == (0, 1, 2)
-        assert not unique
 
 
 class TestJson:
