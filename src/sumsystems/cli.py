@@ -6,7 +6,7 @@ with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
 A command reports a usage error by raising ValueError; `run` is the one
 place that prints "error: ..." and picks the exit code.
-`enumerate` writes its document as it goes rather than building it whole.
+JSON documents are written a batch at a time, never as one whole string.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import arith, counting, jof, systems
 
@@ -26,12 +27,21 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad tuple {text!r}, expected comma-separated integers")
 
 
+_BATCH = 4096  # encoder chunks per write
+
+
 def _emit(doc: dict, fmt: str, plain_lines) -> None:
+    """Write plain_lines, or doc as json.dumps(doc, indent=2) would, a batch
+    of encoder chunks at a time rather than as one string."""
     if fmt == "plain":
         for line in plain_lines:
             print(line)
-    else:
-        print(json.dumps(doc, indent=2))
+        return
+    write = sys.stdout.write
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(islice(chunks, _BATCH)):
+        write(batch)
+    write("\n")
 
 
 def _count_row(n: int, m: int, unordered: bool) -> dict:
@@ -69,8 +79,8 @@ def _cmd_count(args) -> int:
 
 
 # The enumerate document is json.dumps(doc, indent=2) of {"tuple", "count",
-# "jofs", "text"}, written here piece by piece in the same bytes: the
-# indented encoder is pure Python and holds the whole document at once.
+# "jofs", "text"}, written here piece by piece in the same bytes, without
+# the document's lists: the indented encoder is pure Python.
 # No list is ever empty (1:n_1,...,m:n_m is a JOF of every tuple), so no
 # "[]" case arises.
 _PAIR = "\n      [\n        %d,\n        %d\n      ]"
@@ -120,7 +130,7 @@ def _cmd_build(args) -> int:
         built = systems.build_centred(entries)
     else:
         built = systems.build_sum_system(entries)
-    print(json.dumps(systems.system_to_json(built), indent=2))
+    _emit(systems.system_to_json(built), "json", ())
     return 0
 
 

@@ -23,15 +23,15 @@ components, the same map centre applies.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they create it with tuple.__new__, skipping the checks of the public
 constructors (centre keeps one, since its input may be any valid SumSystem).
-Verification still never trusts construction, and a system has one route
-to a True verdict.  One with N <= _NARROW is certified by one bitset
-product, below.  Any other gets the per-component checks, then its JOF is
-read back (jof_of_system, the inverse of the builders) in time in
-proportion to sum |A_j|.  A reading is accepted only when its JOF rebuilds
-every component exactly; then each k in 0..N-1 has exactly one
-mixed-radix digit string in the JOF's factors, so the components tile
-0..N-1.  Each sum system is the blow-up of exactly one JOF, so a failed
-read is a rejection, whose reason the Minkowski fold names.
+Verification still never trusts construction, and each verifier has one
+decider per size.  A system with N <= _NARROW is certified by one bitset
+product, below; any other is read back as jof_of_system (the inverse of
+the builders) reads it, in time in proportion to sum |A_j|.  A reading is
+accepted only when its JOF rebuilds every component exactly; then each k
+in 0..N-1 has exactly one mixed-radix digit string in the JOF's factors,
+so the components tile 0..N-1.  Every genuine system passes its decider
+(each is the blow-up of exactly one JOF), so only a rejection gets the
+per-component checks and the Minkowski fold, which name its reason.
 
 The product shifts each component to start at 0 (a plain one must start
 there, a doubled one at -max) and multiplies their bitsets, each the sum of
@@ -64,8 +64,8 @@ sums in 0..N-1 are all of 0..N-1, so a collision-free fold covers.
 
 The fold runs under a budget of _BUDGET bits a stage, a sparse stage
 priced at _DENSE bits per sum, and a dense stage's product under a price
-of _PRICE, which follows its operands.  The read has already failed when
-the fold runs, so at the first stage past either the components are
+of _PRICE, which follows its operands.  The decider has already failed
+when the fold runs, so at the first stage past either the components are
 refused with "no JOF builds these components", and a rejected document
 costs bounded time and memory whatever its N.
 """
@@ -282,6 +282,16 @@ def _undoubled(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([(v + top) >> 1 for v in comp])
 
 
+def _read_centred(components) -> Jof | None:
+    """The JOF whose doubled blow-up gives these components, or None: they
+    are read through their plain image (_undoubled), which doubling must
+    give back, as v -> (v + max) // 2 drops parity and symmetry."""
+    if not (components and all(components)):
+        return None
+    plain = tuple(map(_undoubled, components))
+    return _read_jof(plain) if tuple(map(_doubled, plain)) == components else None
+
+
 def jof_of_system(system) -> Jof:
     """The JOF that build_sum_system or build_centred turns into this
     system: their inverse.  A centred system is read through its plain
@@ -294,10 +304,7 @@ def jof_of_system(system) -> Jof:
     if isinstance(system, SumSystem):
         jof = _read_jof(system.components)  # checks the rebuild itself
     elif isinstance(system, CentredSumSystem):
-        comps = system.components
-        plain = tuple(map(_undoubled, comps)) if all(comps) else None
-        # v -> (v + max) // 2 drops parity and symmetry: doubling must undo it
-        jof = _read_jof(plain) if plain and tuple(map(_doubled, plain)) == comps else None
+        jof = _read_centred(system.components)
     else:
         raise TypeError(f"not a sum system: {type(system).__name__}")
     if jof is None:
@@ -321,14 +328,10 @@ def centre(system: SumSystem) -> CentredSumSystem:
     2a - max A_j keeps the ascending order and gives every value the parity
     of max A_j.
     """
-    comps = []
-    for comp in system.components:
-        top = comp[-1]
-        doubled = tuple([2 * a - top for a in comp])
-        if not _symmetric(doubled):
-            raise ValueError("centred components must be symmetric about 0")
-        comps.append(doubled)
-    return tuple.__new__(CentredSumSystem, (tuple(comps),))
+    comps = tuple(map(_doubled, system.components))
+    if not all(map(_symmetric, comps)):
+        raise ValueError("centred components must be symmetric about 0")
+    return tuple.__new__(CentredSumSystem, (comps,))
 
 
 def to_sum_and_distance(centred: CentredSumSystem) -> SumAndDistanceSystem:
@@ -358,26 +361,12 @@ def from_sum_and_distance(system: SumAndDistanceSystem) -> CentredSumSystem:
     ])
 
 
-# Below this maximum a bitset is the sum of 1 << v, which builds a small
-# integer per value in C; from it on, a bytearray filled in one Python pass.
-# Measured on Python 3.11 with 2 to 256 values: summing shifts takes 0.5-1.05x
-# the bytearray's time at maxima 512 and 1024, 0.4-1.7x at 2048 and 4096
-# (slower from 32 values on), and 3-8x at 16384 and 65536 from 32 values on.
-# _certified takes it as its bound on N, so its bitsets stay this narrow.
-_NARROW = 1024
-
-
 def _bitset(values) -> int:
     """Integer with bit v set for each v in values, distinct, non-negative
-    and ascending.
-
-    Below _NARROW the shifted ones are summed; wider values fill a bytearray
-    converted once, O(|values| + max/8), since summing 1 << v would build a
-    max-bit integer per value.
-    """
+    and ascending: a bytearray filled once and converted once,
+    O(|values| + max/8), where summing 1 << v would build a max-bit
+    integer per value."""
     top = values[-1]
-    if top < _NARROW:
-        return sum(map((1).__lshift__, values))
     buf = bytearray((top >> 3) + 1)
     for v in values:
         buf[v >> 3] |= 1 << (v & 7)
@@ -419,7 +408,7 @@ _PRICE = 1 << 26
 
 def _fold(components, n: int, cover_reason: str) -> Verdict:
     """Fold components, each ascending from 0, whose sizes multiply to n and
-    whose JOF did not read back, to name why they are no sum system.
+    which failed their decider, to name why they are no sum system.
 
     Rejects with cover_reason when the maxima sum past n - 1; otherwise
     reports the first stage whose sums collide.  A dense stage multiplies
@@ -427,8 +416,8 @@ def _fold(components, n: int, cover_reason: str) -> Verdict:
     bits, a sparse one (the range wider than _DENSE times the sums) counts
     a set of sums, so no bitset holds more than _DENSE bits per sum of its
     stage.  A stage that would pass _BUDGET, or a dense one whose product
-    would pass _PRICE, is not folded: the read has failed, so no JOF builds
-    the components.  A collision-free fold has n
+    would pass _PRICE, is not folded: the decider has failed, so no JOF
+    builds the components.  A collision-free fold has n
     distinct sums within 0..n-1, so it covers them (and when the maxima sum
     below n - 1 it must collide).
     """
@@ -459,15 +448,22 @@ def _fold(components, n: int, cover_reason: str) -> Verdict:
     return True, None
 
 
+# The certificate's bound on N.  Its bitsets, at most 2N bits wide, are sums
+# of 1 << v, a small integer built per value in C; measured on Python 3.11
+# with 2 to 256 values, that takes 0.5-1.05x the time of a bytearray fill
+# at widths 512 and 1024, and 3-8x at 16384 and 65536.
+_NARROW = 1024
+
+
 def _certified(components, n: int, step: int) -> bool:
-    """Whether n <= _NARROW and these ascending components, plain ones
-    (step 1) starting at 0 and doubled ones (step 2) at -max, each with at
-    least 2 values, have sums 0, step, ..., step*(n - 1) once each when
-    shifted to start at 0.  Only a genuine system passes (module
-    docstring); False decides nothing.  Each component is shifted only past
-    its guards: its size, its start, and sum of (max - min) so far <= step *
-    (n - 1), so no bitset is wider than step * n bits."""
-    if n > _NARROW or not components:
+    """Whether these ascending components, plain ones (step 1) starting at
+    0 and doubled ones (step 2) at -max, each with at least 2 values, have
+    sums 0, step, ..., step*(n - 1) once each when shifted to start at 0:
+    true for exactly the genuine systems (module docstring).  Each
+    component is shifted only past its guards: its size, its start, and
+    sum of (max - min) so far <= step * (n - 1), so no bitset is wider
+    than step * n bits."""
+    if not components:
         return False
     room, bits = step * (n - 1), 1
     for comp in components:
@@ -481,53 +477,44 @@ def _certified(components, n: int, step: int) -> bool:
     return bits == ((1 << step * n) - 1) // ((1 << step) - 1)
 
 
-def _verdict(components, n: int, cover_reason: str) -> Verdict:
-    """Verdict on components, each an ascending tuple from 0, whose sizes
-    multiply to n: (True, None) when their JOF reads back, else the fold's
-    reason."""
-    if _read_jof(components) is not None:
-        return True, None
-    return _fold(components, n, cover_reason)
-
-
 def verify_sum_system(system: SumSystem) -> Verdict:
     """Full check that the components form a sum system.
 
-    A system with N <= _NARROW is certified by one bitset product.
-    Otherwise each component must contain 0 and be palindromic
-    (A = max A - A), and then the system is genuine exactly when its JOF
-    reads back.  When it does not, the Minkowski fold names the reason: a
-    system with sum of max A_j > N - 1 is reported as not covering, even
-    where a collision also occurs; otherwise the first component whose
-    addition collides is reported.
+    A system with N <= _NARROW is certified by one bitset product; any
+    other is genuine exactly when its JOF reads back.  A rejection is named
+    by the first component with fewer than 2 values, without 0 or not
+    palindromic (A = max A - A), and then by the Minkowski fold: a system
+    with sum of max A_j > N - 1 is reported as not covering, even where a
+    collision also occurs; otherwise the first component whose addition
+    collides is reported.
     """
     comps, n = system.components, system.N
-    if _certified(comps, n, 1):
+    if _certified(comps, n, 1) if n <= _NARROW else _read_jof(comps) is not None:
         return True, None
     for j, comp in enumerate(comps, start=1):
         if len(comp) < 2:
             return False, f"component {j} has fewer than 2 values"
         if comp[0] != 0:
             return False, f"component {j} does not contain 0"
-        top = comp[-1]
-        if comp != tuple([top - v for v in reversed(comp)]):
+        if not _symmetric(_doubled(comp)):
             return False, f"component {j} is not palindromic"
-    return _verdict(comps, n, f"sums do not cover 0..{n - 1}")
+    return _fold(comps, n, f"sums do not cover 0..{n - 1}")
 
 
 def verify_centred(centred: CentredSumSystem) -> Verdict:
     """Full check on doubled values: sums must hit 2k - (N - 1), k in 0..N-1.
 
     A system with N <= _NARROW is certified by one bitset product of the
-    components shifted by their maxima.  Otherwise, after the symmetry and
-    parity checks, each doubled component with maximum M is mapped by
-    v -> (v + M) / 2 onto 0..M.  The map is affine, so the mapped
+    components shifted by their maxima; any other is read back as
+    jof_of_system reads it.  Each doubled component with maximum M is
+    mapped by v -> (v + M) / 2 onto 0..M.  The map is affine, so the mapped
     components tile 0..N-1 exactly when the doubled ones tile -(N-1)..N-1
-    in steps of 2; they take the route of verify_sum_system, read then
-    fold, with its reason precedence.
+    in steps of 2.  A rejection is named by the size, symmetry and parity
+    checks, then by folding the mapped components with the reason
+    precedence of verify_sum_system.
     """
     comps, n = centred.components, centred.N
-    if _certified(comps, n, 2):
+    if _certified(comps, n, 2) if n <= _NARROW else _read_centred(comps) is not None:
         return True, None
     plain = []
     for j, comp in enumerate(comps, start=1):
@@ -541,7 +528,7 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
         if 2 * sum(mapped) != len(comp) * comp[-1]:
             return False, f"component {j} mixes parities"
         plain.append(mapped)
-    return _verdict(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")
+    return _fold(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")
 
 
 def sigma_a(system: SumSystem) -> int:

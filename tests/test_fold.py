@@ -543,3 +543,75 @@ def test_certified_as_the_seed_certificate(candidate):
     comps, step = candidate
     n = prod(map(len, comps))
     assert systems._certified(comps, n, step) == seed_certified(comps, n, step)
+
+
+def off_the_route(*args):
+    raise AssertionError("a step off the accepting route ran")
+
+
+def seeded_jof(rng, low, high):
+    """A JOF of 2 to 4 parts with low <= N <= high, drawn from rng."""
+    while True:
+        m = rng.randint(2, 4)
+        jof, n = [], 1
+        while n * 2 <= high and (n < low or len({p for p, _ in jof}) < m):
+            part = rng.choice([p for p in range(1, m + 1) if not jof or p != jof[-1][0]])
+            factor = rng.randint(2, min(6, high // n))
+            jof.append((part, factor))
+            n *= factor
+        if n >= low and len({p for p, _ in jof}) == m:
+            return tuple(jof)
+
+
+class TestOneDeciderPerSize:
+    """Each verifier accepts through one decider: the certificate for
+    N <= systems._NARROW, the JOF read past it.  The per-component checks
+    and the fold run only on a rejection, to name its reason."""
+
+    def test_no_read_up_to_the_bound(self, monkeypatch, small_systems):
+        cases, fold_alone = small_systems
+        edge = [build_sum_system(((1, 32), (2, 32))), distinct_until_last(10)]
+        edge_verdicts = [(verify_sum_system(p), verify_centred(centre(p))) for p in edge]
+        monkeypatch.setattr(systems, "_read_jof", no_read)
+        assert [(verify_sum_system(p), verify_centred(c)) for p, c in cases] == fold_alone
+        assert [p.N for p in edge] == [systems._NARROW] * 2
+        assert [(verify_sum_system(p), verify_centred(centre(p))) for p in edge] == edge_verdicts
+        assert [ok for ok, _ in edge_verdicts[0] + edge_verdicts[1]] == [True, True, False, False]
+        for comps, reason in UNVALIDATED_CENTRED:
+            assert verify_centred(unchecked(CentredSumSystem, comps)) == (False, reason)
+
+    @pytest.mark.parametrize("jof", [((1, 32), (2, 33)), LARGE_JOF], ids=["2112", "1088640"])
+    def test_genuine_system_past_the_bound_is_read_once(self, monkeypatch, jof):
+        plain = build_sum_system(jof)
+        centred = centre(plain)
+        assert plain.N > systems._NARROW
+        reads = counting_reads(monkeypatch)
+        monkeypatch.setattr(systems, "_fold", no_fold)
+        monkeypatch.setattr(systems, "_symmetric", off_the_route)
+        monkeypatch.setattr(systems, "_certified", off_the_route)
+        assert verify_sum_system(plain) == (True, None)
+        assert len(reads) == 1
+        assert verify_centred(centred) == (True, None)
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("low, high", [(65, 1024), (1025, 4096)])
+    def test_seeded_corruptions_on_each_side_of_the_bound(self, low, high):
+        rng = random.Random(20261019 + high)
+        verdicts = {True: 0, False: 0}
+        for _ in range(100):
+            jof = seeded_jof(rng, low, high)
+            genuine = build_sum_system(jof).components
+            for comps in (genuine, *corruptions(jof, rng)):
+                plain = SumSystem(comps)
+                assert low <= plain.N <= high
+                for system in (plain, centre(plain)):
+                    ok, _ = check_against_oracle(system)
+                    try:
+                        jof_of_system(system)
+                    except ValueError:
+                        read = False
+                    else:
+                        read = True
+                    assert ok == read, system
+                    verdicts[ok] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
