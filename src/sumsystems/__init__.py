@@ -1,105 +1,51 @@
-"""Exact construction, verification and counting of m-part sum systems."""
+"""Exact construction, verification and counting of m-part sum systems.
 
-from .arith import (
-    PrimeFactorisation,
-    associated_divisor,
-    big_omega,
-    classical_divisor,
-    divisors,
-    factorise,
-    mobius,
-    modified_mobius,
-    nontrivial_divisor,
-    squarefree_ordered_count,
-)
-from .counting import (
-    CountResult,
-    DivisorSumReport,
-    brute_force_count,
-    count_by_recurrence,
-    count_m_part,
-    count_two_part,
-    count_unordered,
-    divisor_sum_check,
-    stirling2,
-    two_dim_fixed_tuple,
-)
-from .jof import (
-    CapExceeded,
-    DEFAULT_CAP,
-    count_for_tuple,
-    enumerate_jofs,
-    infer_parts,
-    jof_to_pairs,
-    jof_to_text,
-    ordered_factorisations,
-    parse_jof_text,
-    validate,
-)
-from .systems import (
-    CentredSumSystem,
-    SumAndDistanceSystem,
-    SumSystem,
-    build_centred,
-    build_sum_system,
-    centre,
-    from_sum_and_distance,
-    jof_of_system,
-    sigma_a,
-    system_from_json,
-    system_to_json,
-    tau_c,
-    to_sum_and_distance,
-    verify_centred,
-    verify_sum_system,
-)
+Each public name lives in one submodule, imported on the first use of any of
+its names (PEP 562), so `import sumsystems` loads none of them.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "CentredSumSystem",
-    "CountResult",
-    "DEFAULT_CAP",
-    "DivisorSumReport",
-    "PrimeFactorisation",
-    "SumAndDistanceSystem",
-    "SumSystem",
-    "associated_divisor",
-    "big_omega",
-    "brute_force_count",
-    "build_centred",
-    "build_sum_system",
-    "centre",
-    "classical_divisor",
-    "count_by_recurrence",
-    "count_for_tuple",
-    "count_m_part",
-    "count_two_part",
-    "count_unordered",
-    "divisor_sum_check",
-    "divisors",
-    "enumerate_jofs",
-    "factorise",
-    "from_sum_and_distance",
-    "infer_parts",
-    "jof_of_system",
-    "jof_to_pairs",
-    "jof_to_text",
-    "mobius",
-    "modified_mobius",
-    "nontrivial_divisor",
-    "ordered_factorisations",
-    "parse_jof_text",
-    "sigma_a",
-    "squarefree_ordered_count",
-    "stirling2",
-    "system_from_json",
-    "system_to_json",
-    "tau_c",
-    "to_sum_and_distance",
-    "two_dim_fixed_tuple",
-    "validate",
-    "verify_centred",
-    "verify_sum_system",
-]
+_PUBLIC = {
+    "arith": (
+        "PrimeFactorisation", "associated_divisor", "big_omega", "classical_divisor",
+        "divisors", "factorise", "mobius", "modified_mobius", "nontrivial_divisor",
+        "squarefree_ordered_count",
+    ),
+    "counting": (
+        "CountResult", "DivisorSumReport", "brute_force_count", "count_by_recurrence",
+        "count_m_part", "count_two_part", "count_unordered", "divisor_sum_check",
+        "stirling2", "two_dim_fixed_tuple",
+    ),
+    "jof": (
+        "CapExceeded", "DEFAULT_CAP", "count_for_tuple", "enumerate_jofs", "infer_parts",
+        "jof_to_pairs", "jof_to_text", "ordered_factorisations", "parse_jof_text",
+        "validate",
+    ),
+    "systems": (
+        "CentredSumSystem", "SumAndDistanceSystem", "SumSystem", "build_centred",
+        "build_sum_system", "centre", "from_sum_and_distance", "jof_of_system", "sigma_a",
+        "system_from_json", "system_to_json", "tau_c", "to_sum_and_distance",
+        "verify_centred", "verify_sum_system",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        value = import_module(f".{name}", __name__)
+    elif name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,8 @@ with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
 A command reports a usage error by raising ValueError; `run` is the one
 place that prints "error: ..." and picks the exit code.
+Each command imports only the modules it runs, so `divisor-fn` loads `arith`
+alone and no counting command loads `systems`.
 JSON documents are written a batch at a time, never as one whole string.
 """
 
@@ -16,8 +18,6 @@ import json
 import os
 import sys
 from itertools import islice
-
-from . import arith, counting, jof, systems
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
@@ -45,9 +45,11 @@ def _emit(doc: dict, fmt: str, plain_lines) -> None:
 
 
 def _count_row(n: int, m: int, unordered: bool) -> dict:
-    row = {"m": m, "count": counting.count_m_part(n, m).value}
+    from .counting import count_m_part, count_unordered
+
+    row = {"m": m, "count": count_m_part(n, m).value}
     if unordered:
-        row["unordered"] = counting.count_unordered(n, m).value
+        row["unordered"] = count_unordered(n, m).value
     return row
 
 
@@ -55,14 +57,18 @@ def _cmd_count(args) -> int:
     if args.tuple is not None:
         if args.m is not None or args.unordered:
             raise ValueError("--tuple does not combine with --m/--unordered")
+        from .jof import count_for_tuple
+
         parts = _parse_tuple(args.tuple)
-        result = jof.count_for_tuple(parts)
+        result = count_for_tuple(parts)
         _emit(
             {"tuple": list(parts), "count": result, "method": "closed-form"},
             args.format,
             [str(result)],
         )
         return 0
+    from .arith import big_omega
+
     n = args.n
     shown = "unordered" if args.unordered else "count"
     if args.m is not None:
@@ -71,7 +77,7 @@ def _cmd_count(args) -> int:
     else:
         # every m that can be non-zero
         rows = [_count_row(n, m, args.unordered)
-                for m in range(1, max(1, arith.big_omega(n)) + 1)]
+                for m in range(1, max(1, big_omega(n)) + 1)]
         doc = {"N": n, "counts": rows, "method": "closed-form"}
         plain = [f"{row['m']} {row[shown]}" for row in rows]
     _emit(doc, args.format, plain)
@@ -96,10 +102,13 @@ def _write_blocks(write, found, block, sep: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import jof
+
     parts = _parse_tuple(args.tuple)
-    if args.limit < 0:
+    cap = jof.DEFAULT_CAP if args.limit is None else args.limit
+    if cap < 0:
         raise ValueError("--limit must be non-negative")
-    found = jof.enumerate_jofs(parts, cap=args.limit)
+    found = jof.enumerate_jofs(parts, cap=cap)
     write = sys.stdout.write
     text = jof.jof_to_text
     if args.format == "plain":
@@ -116,6 +125,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from . import jof, systems
+
     entries = jof.parse_jof_text(args.jof)
     # a system holds the sum of its cardinalities in values; past the bound
     # `enumerate` uses, it is refused here rather than run out of memory
@@ -144,6 +155,8 @@ def _doc_int(text: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import systems
+
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             doc = json.load(handle, parse_int=_doc_int)
@@ -174,16 +187,20 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     if args.max_n < 1 or args.max_m < 1:
         raise ValueError("--max-n and --max-m must be positive")
+    from .counting import count_m_part
+
     print("N,m,count")
     for n in range(1, args.max_n + 1):
         for m in range(1, args.max_m + 1):
-            print(f"{n},{m},{counting.count_m_part(n, m).value}")
+            print(f"{n},{m},{count_m_part(n, m).value}")
     return 0
 
 
 def _cmd_divisor_fn(args) -> int:
     if args.r is not None and args.kind != "assoc":
         raise ValueError("--r only applies to --kind assoc")
+    from . import arith
+
     if args.kind == "d":
         value = arith.classical_divisor(args.j, args.n)
     elif args.kind == "c":
@@ -204,7 +221,9 @@ def _cmd_divisor_fn(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = counting.divisor_sum_check(args.n, args.m)
+    from .counting import divisor_sum_check
+
+    report = divisor_sum_check(args.n, args.m)
     doc = report.as_dict()
     residuals = doc["residuals"]
     plain = ["ok" if report.ok else "fail " + " ".join(
@@ -239,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every JOF of a tuple")
     p.add_argument("--tuple", required=True, help="comma-separated cardinalities")
-    p.add_argument("--limit", type=int, default=jof.DEFAULT_CAP,
+    p.add_argument("--limit", type=int,  # None: jof.DEFAULT_CAP
                    help="enumeration cap (exceeding it is an error, not truncation)")
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
@@ -281,6 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cap_exceeded():
+    """jof.CapExceeded, or no class at all when no command has loaded jof
+    (so nothing can have raised it)."""
+    jof = sys.modules.get(f"{__package__}.jof")
+    return () if jof is None else jof.CapExceeded
+
+
 def run(argv=None) -> int:
     # exact values of any size, argv included: Python 3.11+ caps int <-> str
     # at 4300 digits, so the cap is lifted for this call and then restored
@@ -292,7 +318,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2
-    except jof.CapExceeded as exc:
+    except _cap_exceeded() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

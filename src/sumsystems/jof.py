@@ -17,7 +17,6 @@ only), the same part as the entry before; then a part that never appears
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import factorial, prod
 from operator import add, itemgetter, mul
@@ -309,6 +308,8 @@ def parse_jof_text(text: str) -> Jof:
     if not text:
         raise ValueError("empty JOF")
     if text.startswith("["):
+        import json  # only here, so the counting paths never load it
+
         try:
             raw = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:

@@ -816,6 +816,49 @@ class TestTopLevel:
         assert "sumsystems.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
+    @staticmethod
+    def loads(code, *argv, cwd=None):
+        """The package modules, fractions, decimal and json that `code` loads
+        in a fresh `python -S`, which gets argv; stdout is swallowed."""
+        script = ("import io, sys\n"
+                  "before, out, sys.stdout = set(sys.modules), sys.stdout, io.StringIO()\n"
+                  f"{code}\n"
+                  "sys.stdout = out\n"
+                  "print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
+                              text=True, env=subprocess_env(), cwd=cwd, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return {name for name in proc.stdout.split()
+                if name.partition(".")[0] in {"sumsystems", "fractions", "decimal", "json"}}
+
+    def test_bare_import_loads_no_submodule(self):
+        assert self.loads("import sumsystems") == {"sumsystems"}
+
+    def test_count_for_tuple_loads_no_json(self):
+        assert self.loads("from sumsystems import count_for_tuple") == {
+            "sumsystems", "sumsystems.arith", "sumsystems.jof"}
+
+    @pytest.mark.parametrize("argv,unloaded", [
+        pytest.param(["divisor-fn", "--kind", "c", "--j", "2", "--n", "12"],
+                     {"counting", "jof", "systems"}, id="divisor-fn"),
+        pytest.param(["count", "--n", "720"], {"systems"}, id="count-n"),
+        pytest.param(["check", "--n", "720", "--m", "3"], {"systems"}, id="check"),
+        pytest.param(["table", "--max-n", "12", "--max-m", "3"], {"systems"}, id="table"),
+        pytest.param(["enumerate", "--tuple", "6,2"], {"counting", "systems"}, id="enumerate"),
+        pytest.param(["count", "--tuple", "6,2"], {"counting", "systems"}, id="count-tuple"),
+        pytest.param(["build", "--jof", "1:2,2:3"], {"counting"}, id="build"),
+        pytest.param(["verify", "--file", "system.json"], {"counting"}, id="verify"),
+    ])
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, unloaded):
+        system = systems.build_sum_system(parse_jof_text("1:2,2:3"))
+        (tmp_path / "system.json").write_text(json.dumps(systems.system_to_json(system)))
+        code = "import sumsystems.cli\nassert sumsystems.cli.run(sys.argv[1:]) == 0"
+        loaded = self.loads(code, *argv, cwd=tmp_path)
+        assert {"sumsystems.arith", "sumsystems.cli"} <= loaded
+        assert loaded.isdisjoint(f"sumsystems.{name}" for name in unloaded)
+        if "systems" in unloaded:
+            assert loaded.isdisjoint({"fractions", "decimal"})
+
     def test_console_script(self, tmp_path):
         exe = shutil.which("sumsys")
         if exe is None:
