@@ -1,4 +1,4 @@
-"""Exact arithmetic-function algebra under Dirichlet convolution.
+"""Factorisation and exact divisor functions, read from the prime signature.
 
 Everything here is integer-valued and exact: factorisation, the Mobius
 function, classical divisor functions d_j, their "non-trivial factor"

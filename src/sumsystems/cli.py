@@ -86,19 +86,26 @@ def _cmd_count(args) -> int:
 
 # The enumerate document is json.dumps(doc, indent=2) of {"tuple", "count",
 # "jofs", "text"}, written here piece by piece in the same bytes, without
-# the document's lists: the indented encoder is pure Python.
+# the document's lists: the indented encoder is pure Python.  The JOF walk
+# hands over one chunk of jof._CHUNK JOFs at a time; each chunk's "jofs"
+# block is written at once and only its "text" block, one string, is kept
+# until the "jofs" list ends.
 # No list is ever empty (1:n_1,...,m:n_m is a JOF of every tuple), so no
 # "[]" case arises.
 _PAIR = "\n      [\n        %d,\n        %d\n      ]"
-_CHUNK = 256  # JOFs per write, about 90 KB of JSON
 
 
-def _write_blocks(write, found, block, sep: str) -> None:
-    """Write block(j) for every JOF, joined by sep, a chunk at a time."""
-    lead = ""
-    for start in range(0, len(found), _CHUNK):
-        write(lead + sep.join(map(block, found[start:start + _CHUNK])))
-        lead = sep
+class _Memo(dict):
+    """Each entry's formatted text, formatted on first use: a tuple has few
+    distinct (part, factor) entries, repeated across its many JOFs."""
+
+    def __init__(self, form) -> None:
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, entry):
+        text = self[entry] = self.form(entry)
+        return text
 
 
 def _cmd_enumerate(args) -> int:
@@ -108,18 +115,31 @@ def _cmd_enumerate(args) -> int:
     cap = jof.DEFAULT_CAP if args.limit is None else args.limit
     if cap < 0:
         raise ValueError("--limit must be non-negative")
-    found = jof.enumerate_jofs(parts, cap=cap)
+    parts, count = jof._counted(parts, cap)
     write = sys.stdout.write
-    text = jof.jof_to_text
+    text = _Memo(lambda entry: jof.jof_to_text((entry,))).__getitem__
+
+    def line(found) -> str:
+        return ",".join(map(text, found))
+
     if args.format == "plain":
-        _write_blocks(write, found, lambda j: text(j) + "\n", "")
+        jof._walk(parts, lambda chunk: write("\n".join(map(line, chunk)) + "\n"))
         return 0
-    pair = _PAIR.__mod__
+    pair = _Memo(_PAIR.__mod__).__getitem__
     write('{\n  "tuple": [\n%s\n  ],\n  "count": %d,\n  "jofs": [\n'
-          % (",\n".join(f"    {n}" for n in parts), len(found)))
-    _write_blocks(write, found, lambda j: "    [" + ",".join(map(pair, j)) + "\n    ]", ",\n")
+          % (",\n".join(f"    {n}" for n in parts), count))
+    texts = []  # each chunk's "text" block, led by the separator before it
+
+    def block(chunk) -> None:
+        lead = ",\n" if texts else ""
+        write(lead + ",\n".join(["    [" + ",".join(map(pair, found)) + "\n    ]"
+                                  for found in chunk]))
+        texts.append(lead + ",\n".join(['    "' + line(found) + '"' for found in chunk]))
+
+    jof._walk(parts, block)
     write('\n  ],\n  "text": [\n')
-    _write_blocks(write, found, lambda j: '    "' + text(j) + '"', ",\n")
+    for lines in texts:
+        write(lines)
     write("\n  ]\n}\n")
     return 0
 

@@ -7,8 +7,8 @@ are distinct, so N_m = m! M_m systems have ordered parts.  One cached
 kernel evaluates M_m on the prime signature; the unordered and ordered
 counts and the divisor-sum identities read it; the two-part shortcut and
 the fixed-tuple two-part formula read the c_j divisor functions.  The
-brute-force count, driven by the JOF enumerator, is the oracle the closed
-forms are measured against.
+brute-force count, driven by the JOF walk, is the oracle the closed forms
+are measured against; only it loads the jof module.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .arith import (
     _difference_table,
     factorise,
 )
-from .jof import DEFAULT_CAP, enumerate_jofs, ordered_factorisations
 
 _STIRLING_TOP = 62  # every count takes S(L, m) with L <= Omega(n) <= 62
 _stirling_rows: list[list[int]] = [[1]]
@@ -236,13 +235,21 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
     return CountResult(sum(a * a + a * b for a, b in zip(c, c[1:])), "closed-form")
 
 
-def brute_force_count(n: int, m: int, cap: int = DEFAULT_CAP) -> CountResult:
+def brute_force_count(n: int, m: int, cap: int = 10**6) -> CountResult:
     """Count m-part systems for n by enumerating every JOF of every ordered
-    tuple.  The independent oracle for count_m_part.
+    tuple.  The independent oracle for count_m_part; cap is the JOF cap per
+    tuple, jof.DEFAULT_CAP by default.
     """
     _check_positive(n)
     _check_index(m, 1, "m")
+    from .jof import _counted, _walk, ordered_factorisations  # the only use of jof here
+
     total = 0
+
+    def tally(chunk) -> None:
+        nonlocal total
+        total += len(chunk)
+
     for parts in ordered_factorisations(n, m):
-        total += len(enumerate_jofs(parts, cap=cap))
+        _walk(_counted(parts, cap)[0], tally)
     return CountResult(total, "brute-force")

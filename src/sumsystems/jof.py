@@ -127,14 +127,15 @@ def _checked_jof(jof, m: int | None = None) -> tuple[Jof, dict[int, int]]:
     return jof, products
 
 
-def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
-    """All JOFs of a target tuple, in lexicographic (part, factor) order.
+# JOFs the walk hands its sink at a time: a chunk is about 90 KB of the
+# `enumerate` document, so the CLI holds one chunk of JOFs, never them all
+_CHUNK = 256
 
-    Depth-first over entries: at each position the open parts other than the
-    one just used are tried in ascending order, each with its factors >= 2
-    ascending.  Raises CapExceeded up front when m! passes cap, as any m
-    parts have at least m! JOFs (one entry per part, in any order), and
-    otherwise when count_for_tuple does.
+
+def _counted(parts, cap: int) -> tuple[tuple[int, ...], int]:
+    """The checked tuple and its number of JOFs.  Raises CapExceeded up
+    front when m! passes cap, as any m parts have at least m! JOFs (one
+    entry per part, in any order), and otherwise when count_for_tuple does.
     """
     parts = _check_parts(parts)
     orders = 1
@@ -142,30 +143,65 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
         orders *= i
         if orders > cap:  # so m! is never formed for a large m
             raise CapExceeded(cap)
-    if count_for_tuple(parts) > cap:
+    count = count_for_tuple(parts)
+    if count > cap:
         raise CapExceeded(cap)
+    return parts, count
+
+
+def _walk(parts: tuple[int, ...], sink) -> None:
+    """Hand sink every JOF of a checked tuple in lexicographic (part, factor)
+    order, as lists of _CHUNK JOFs (the last may be shorter).
+
+    Depth-first over entries: at each position the open parts (residue > 1)
+    other than the one just used are tried in ascending order, each with its
+    factors >= 2 ascending.  With one part open, only its whole residue can
+    end a JOF (a smaller factor leaves it open and next to itself), so that
+    entry is taken at once; every branch of the walk ends in a JOF.  Entries
+    are made once per (part, residue), so the JOFs share them.
+    """
     m = len(parts)
     residues = list(parts)
-    out: list[Jof] = []
-    entries: list[Entry] = []
-    # open = parts whose residue is still > 1
-    def extend(last: int, open_count: int) -> None:
-        if open_count == 0:
-            out.append(tuple(entries))
-            return
+    moves: list[dict[int, list[tuple[Entry, int]]]] = [{} for _ in parts]
+    chunk: list[Jof] = []
+
+    def steps(j: int, r: int) -> list[tuple[Entry, int]]:
+        # ((part, factor), residue left) for each factor of r, ascending;
+        # never empty, as r >= 2 is its own factor
+        step = moves[j][r] = [((j + 1, f), r // f) for f in nontrivial_divisors(r)]
+        return step
+
+    def extend(prefix: Jof, last: int, open_count: int) -> None:
+        nonlocal chunk
         for j in range(m):
-            if j == last:
-                continue
             r = residues[j]
-            if r == 1:
+            if j == last or r == 1:
                 continue
-            for f in nontrivial_divisors(r):
-                residues[j] = r // f
-                entries.append((j + 1, f))
-                extend(j, open_count - (1 if f == r else 0))
-                entries.pop()
-                residues[j] = r
-    extend(-1, m)
+            step = moves[j].get(r) or steps(j, r)
+            if open_count == 1:
+                chunk.append(prefix + (step[-1][0],))
+                if len(chunk) == _CHUNK:
+                    sink(chunk)
+                    chunk = []
+                return
+            for entry, rest in step:
+                residues[j] = rest
+                extend(prefix + (entry,), j, open_count - (rest == 1))
+            residues[j] = r
+
+    extend((), -1, m)
+    if chunk:
+        sink(chunk)
+
+
+def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
+    """All JOFs of a target tuple, in lexicographic (part, factor) order.
+
+    Raises CapExceeded before building any when m! or the number of JOFs
+    passes cap.
+    """
+    out: list[Jof] = []
+    _walk(_counted(parts, cap)[0], out.extend)
     return out
 
 

@@ -1,18 +1,20 @@
 """Slow, independent reference implementations used only by the tests.
 
 Apart from all_jofs_up_to, a walk over the package's own JOF enumeration
-that feeds the system tests, oracle_document, which lays that enumeration
-out as the CLI's document, egf_convolution_tuple_count, the package's
-former fixed-tuple count read from its factorisation and difference
-table, and the package's former small-system paths seed_blow_up,
-seed_centre and seed_certified, which build the package's value classes
-and read its _NARROW, nothing here imports from the package:
-factorisation is naive trial division, convolution scans 1..n or the
-divisors listed from that factorisation, a convolution power squares over
-the same list, and the counting oracles enumerate tuples outright.  The
-Dirichlet convolution, its powers and the binomial transform pair here are
-the reference the package's divisor functions are tested against.  Frozen
-expected values in the tests were produced by these functions.
+that feeds the system tests, oracle_document, which lays the seed JOF walk
+out as the CLI's document in the package's text forms,
+egf_convolution_tuple_count, the package's former fixed-tuple count read
+from its factorisation and difference table, and the package's former
+small-system paths seed_blow_up, seed_centre and seed_certified, which
+build the package's value classes and read its _NARROW, nothing here
+imports from the package: factorisation is naive trial division,
+convolution scans 1..n or the divisors listed from that factorisation, a
+convolution power squares over the same list, the seed JOF walk takes its
+factors from that list too, and the counting oracles enumerate tuples
+outright.  The Dirichlet convolution, its powers and the binomial
+transform pair here are the reference the package's divisor functions are
+tested against.  Frozen expected values in the tests were produced by
+these functions.
 """
 
 from __future__ import annotations
@@ -274,6 +276,38 @@ def naive_stirling2(total: int, blocks: int) -> int:
     return acc // factorial(blocks)
 
 
+def seed_enumerate_jofs(parts) -> list[tuple[tuple[int, int], ...]]:
+    """Every JOF of a tuple, in lexicographic (part, factor) order: the
+    package's former walk, which recursed into every factor of every open
+    part other than the last one used and kept what reached no open part.
+    Factors are listed by naive_divisors, once per divisor of a part."""
+    m = len(parts)
+    residues = list(parts)
+    factors = {d: naive_divisors(d)[1:] for n in parts for d in naive_divisors(n)}
+    out = []
+    entries = []
+
+    def extend(last: int, open_count: int) -> None:
+        if open_count == 0:
+            out.append(tuple(entries))
+            return
+        for j in range(m):
+            if j == last:
+                continue
+            r = residues[j]
+            if r == 1:
+                continue
+            for f in factors[r]:
+                residues[j] = r // f
+                entries.append((j + 1, f))
+                extend(j, open_count - (1 if f == r else 0))
+                entries.pop()
+                residues[j] = r
+
+    extend(-1, m)
+    return out
+
+
 def all_jofs_up_to(limit):
     """Every JOF of every target tuple with product N in 2..limit."""
     from sumsystems.jof import enumerate_jofs, ordered_factorisations
@@ -285,14 +319,15 @@ def all_jofs_up_to(limit):
 
 
 def oracle_document(parts) -> dict:
-    """The `sumsys enumerate` document, built whole as the CLI once did.
+    """The `sumsys enumerate` document, built whole from the seed walk as the
+    CLI once built it from its own.
 
     The CLI now writes json.dumps(oracle_document(parts), indent=2) piece by
     piece; its plain format is the "text" list, one JOF per line.
     """
-    from sumsystems.jof import enumerate_jofs, jof_to_pairs, jof_to_text
+    from sumsystems.jof import jof_to_pairs, jof_to_text
 
-    found = enumerate_jofs(parts)
+    found = seed_enumerate_jofs(parts)
     return {
         "tuple": list(parts),
         "count": len(found),

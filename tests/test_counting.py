@@ -1,6 +1,7 @@
 """Closed-form counts against the enumeration oracle and frozen values."""
 
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -34,7 +35,7 @@ from sumsystems.counting import (
     stirling2,
     two_dim_fixed_tuple,
 )
-from sumsystems.jof import CapExceeded, count_for_tuple, ordered_factorisations
+from sumsystems.jof import DEFAULT_CAP, CapExceeded, count_for_tuple, ordered_factorisations
 
 from oracles import binomial_inversion, binomial_transform, divisor_recurrence, naive_stirling2
 
@@ -404,6 +405,12 @@ class TestBruteForce:
     def test_cap_propagates(self):
         with pytest.raises(CapExceeded):
             brute_force_count(8, 2, cap=2)
+
+    def test_default_cap_is_the_enumeration_cap(self):
+        # counting loads jof only inside brute_force_count, so it writes the
+        # default out rather than reading jof.DEFAULT_CAP
+        cap = inspect.signature(brute_force_count).parameters["cap"].default
+        assert cap == DEFAULT_CAP
 
     def test_errors(self):
         with pytest.raises(ValueError):

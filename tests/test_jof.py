@@ -25,6 +25,7 @@ from oracles import (
     cartesian_tuple_count,
     egf_convolution_tuple_count,
     naive_ordered_factorisations,
+    seed_enumerate_jofs,
 )
 
 WORKED_JOF = ((1, 3), (3, 3), (1, 3), (3, 2), (2, 5))
@@ -183,6 +184,39 @@ class TestEnumerate:
         for bad in ((), (1,), (2, 1), (2, "4"), (0,)):
             with pytest.raises(ValueError):
                 enumerate_jofs(bad)
+
+
+# Tuples with JOF counts at and around multiples of jof._CHUNK (256), as
+# counts are sparse: no tuple with N <= 256 has from 253 to 279 JOFs, or
+# from 505 to 559, and no tuple of 2, 3, 4 or 5 parts below 1200, 150, 40
+# or 16 has 255, 257 or 511.
+CHUNK_EDGES = {
+    (6, 240): 250, (4, 960): 252, (8, 210): 256, (210, 8): 256, (4, 720): 270,
+    (6, 840): 508, (30, 128): 512, (128, 30): 512, (16, 72): 525,
+}
+
+
+class TestWalkAgainstSeed:
+    """The pruned, chunked walk gives the seed walk's lists, in order."""
+
+    def test_every_ordered_tuple_up_to_256(self):
+        for n in range(2, 257):
+            for m in range(1, 9):
+                for parts in ordered_factorisations(n, m):
+                    assert enumerate_jofs(parts) == seed_enumerate_jofs(parts), parts
+
+    @pytest.mark.parametrize("parts", list(CHUNK_EDGES), ids=str)
+    def test_at_chunk_edges(self, parts):
+        found = enumerate_jofs(parts)
+        assert len(found) == CHUNK_EDGES[parts] == count_for_tuple(parts)
+        assert found == seed_enumerate_jofs(parts)
+
+    @pytest.mark.parametrize("parts", list(CHUNK_EDGES), ids=str)
+    def test_chunks_are_full_but_the_last(self, parts):
+        sizes = []
+        jof._walk(parts, lambda chunk: sizes.append(len(chunk)))
+        full, rest = divmod(CHUNK_EDGES[parts], jof._CHUNK)
+        assert sizes == [jof._CHUNK] * full + ([rest] if rest else [])
 
 
 class TestOrderedFactorisations:
