@@ -8,7 +8,9 @@ fold multiplies bitsets on dense stages and adds sets on sparse ones, so
 systems whose stages switch between the two are checked as well.  A system
 past the certificate is read back first and folded only when the read
 fails; the verdicts and reasons must be those of the fold alone, got with
-the certificate and the read patched to fail.
+the certificate and the read patched to fail.  Centre and the certificate
+reuse each component's work from a memo, whichever system put it there, so
+genuine and corrupted systems sharing components are run in both orders.
 """
 
 import json
@@ -33,7 +35,7 @@ from sumsystems.systems import (
     verify_sum_system,
 )
 
-from oracles import all_jofs_up_to, seed_certified, set_fold_verify
+from oracles import all_jofs_up_to, seed_centre, seed_certified, set_fold_verify
 
 PLAIN_COVER = "sums do not cover 0..1"
 CENTRED_COVER = "doubled sums do not cover -(N-1)..N-1 in steps of 2"
@@ -615,3 +617,47 @@ class TestOneDeciderPerSize:
                     assert ok == read, system
                     verdicts[ok] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def as_the_seed_paths(plain):
+    """Whether centre and the certificate, plain and doubled, give the seed
+    paths' results on this system; centre must raise where the seed does."""
+    n = plain.N
+    if systems._certified(plain.components, n, 1) != seed_certified(plain.components, n, 1):
+        return False
+    try:
+        want = seed_centre(plain)
+    except ValueError:
+        with pytest.raises(ValueError, match="^centred components must be symmetric about 0$"):
+            centre(plain)
+        return True
+    got = centre(plain)
+    return got == want and (
+        systems._certified(got.components, n, 2) == seed_certified(got.components, n, 2)
+    )
+
+
+class TestComponentMemos:
+    """centre and the certificate take each component's doubled form and
+    bitset from the memos systems._centred_component and
+    systems._bits_from_start, whatever system put it there."""
+
+    @pytest.mark.parametrize("genuine_first", [True, False], ids=["genuine", "corrupted"])
+    def test_seeded_corruptions_cold_then_warm(self, genuine_first):
+        # the same 100 JOFs in either order: a corrupted system shares all
+        # but one component with its genuine one, and may fill the memos
+        # with them first
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(100):
+            jof = seeded_jof(rng, 65, 1024)
+            genuine = build_sum_system(jof).components
+            corrupted = list(corruptions(jof, rng))
+            cases += [genuine, *corrupted] if genuine_first else [*corrupted, genuine]
+        memos = (systems._centred_component, systems._bits_from_start)
+        for memo in memos:
+            memo.cache_clear()
+        for _ in ("cold", "warm"):
+            for comps in cases:
+                assert as_the_seed_paths(SumSystem(comps)), comps
+        assert all(memo.cache_info().hits for memo in memos)

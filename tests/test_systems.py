@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumsystems import systems
 from sumsystems.systems import (
     CentredSumSystem,
     SumAndDistanceSystem,
@@ -28,6 +29,7 @@ from oracles import (
     brute_minkowski,
     seed_blow_up,
     seed_centre,
+    seed_certified,
     set_fold_verify,
 )
 
@@ -110,16 +112,41 @@ class TestBuild:
             assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
 
 
+MEMOS = (systems._centred_component, systems._bits_from_start)
+
+
+def certified_as_the_seed(plain, centred):
+    """Whether the certificate of both forms is the seed certificate's."""
+    n = plain.N
+    return all(
+        systems._certified(comps, n, step) == seed_certified(comps, n, step)
+        for comps, step in ((plain.components, 1), (centred.components, 2))
+    )
+
+
 class TestAgainstSeedPaths:
-    """The one-pass blow-up and centre against their former forms,
-    oracles.seed_blow_up and oracles.seed_centre."""
+    """The one-pass blow-up, and centre and the certificate with their
+    per-component memos, against their former forms: oracles.seed_blow_up,
+    oracles.seed_centre and oracles.seed_certified."""
 
     def test_every_jof_up_to_128(self):
+        # from empty memos, then again with them filled
+        for memo in MEMOS:
+            memo.cache_clear()
         for jof in all_jofs_up_to(128):
             seed = tuple.__new__(SumSystem, (seed_blow_up(jof, max(p for p, _ in jof)),))
             built = build_sum_system(jof)
             assert built == seed, jof
-            assert centre(built) == seed_centre(seed) == build_centred(jof), jof
+            centred = centre(built)
+            assert centred == seed_centre(seed) == build_centred(jof), jof
+            assert certified_as_the_seed(built, centred), jof
+        # the brute force meets each component again: the memos engage
+        assert all(memo.cache_info().hits > memo.cache_info().misses for memo in MEMOS)
+        for jof in all_jofs_up_to(128):
+            built = build_sum_system(jof)
+            centred = centre(built)
+            assert centred == seed_centre(built), jof
+            assert certified_as_the_seed(built, centred), jof
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
