@@ -18,8 +18,15 @@ order, sign, symmetry and parity per component.
 Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
 F(l) * {0, ..., f_l - 1} to its part's component.  _blow_up is the one
-construction path: build_centred is the doubled image (2a - max A_j) of its
-components, the same map centre applies.  The builders, centre and
+construction path, for build_sum_system, build_centred (the doubled image
+2a - max A_j of its components, the same map centre applies) and the
+rebuild that accepts a reading (below).  One pass over the checked JOF
+collects each part's run of (F(l), f_l) entries, and a part's component
+depends on its run alone, so a JOF with N <= _NARROW takes each component
+from a memo keyed by the run, and any other JOF calls the same body
+unmemoised.  A key is made only from a JOF that has passed its check, or
+one read from int components, so it holds ints alone: no bool, float or
+factor 1 reaches the memo.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they create it with tuple.__new__, skipping the checks of the public
 constructors (centre keeps one, since its input may be any valid SumSystem).
@@ -48,10 +55,14 @@ per-component check would pass.  Each component's guards run before it is
 shifted: at least 2 values (a {0} component passes the product but is
 refused), its start, and the running sum of (max - min) over it and the
 components before it <= step*(N-1), so no bitset is wider than 2N bits
-whatever the values.  A component's bitset, like the doubled form centre
-gives it, comes from a memo keyed by the component (_MEMO entries each),
-since the brute force meets each component many times.  Only systems with
-N <= _NARROW use the memos, so no component of a larger system is kept.
+whatever the values.
+
+The brute force meets each component many times, so three memos of _MEMO
+entries each keep per-component work: a part's component by its run
+(_progressions), and by the component, the doubled form centre gives it
+(_centred_component) and its bitset for the certificate (_bits_from_start).
+Only systems with N <= _NARROW use them, so nothing of a larger system is
+kept.
 
 Both verifiers share one fold over integers used as bitsets: component A
 becomes the bit-polynomial sum of 2^a over a in A, and the running product
@@ -210,19 +221,16 @@ class SumAndDistanceSystem(
 
 
 def _blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:
-    """The m components of a checked JOF, each sorted ascending: a part's
-    first entry gives its progression F(l) * {0..f_l - 1}, each later one adds it."""
-    comps: list = [None] * m
+    """The m components of a checked JOF, each sorted ascending.  One pass
+    collects each part's run of entries as (F(l), f_l, F(l'), f_l', ...);
+    a JOF with N <= _NARROW takes each part's component from the memo
+    _progressions, any other from the same body unmemoised."""
+    runs = [()] * m
     partial = 1
     for part, factor in jof:
-        base = comps[part - 1]
-        # blocks for successive multiples of the partial product stay disjoint
-        # because the values built so far all lie below it
-        offsets = range(0, partial * factor, partial)
-        comps[part - 1] = (offsets if base is None
-                           else [a + offset for offset in offsets for a in base])
+        runs[part - 1] += (partial, factor)
         partial *= factor
-    return tuple(map(tuple, comps))
+    return tuple(map(_progressions if partial <= _NARROW else _progressions.__wrapped__, runs))
 
 
 def build_sum_system(jof) -> SumSystem:
@@ -289,11 +297,16 @@ def _undoubled(comp: tuple[int, ...]) -> tuple[int, ...]:
 def _read_centred(components) -> Jof | None:
     """The JOF whose doubled blow-up gives these components, or None: they
     are read through their plain image (_undoubled), which doubling must
-    give back, as v -> (v + max) // 2 drops parity and symmetry."""
+    give back, as v -> (v + max) // 2 drops parity and symmetry.  Doubling
+    takes the image u of a value v to 2u - max, which is v or v - 1, so it
+    gives every value back exactly when the totals of both sides agree."""
     if not (components and all(components)):
         return None
     plain = tuple(map(_undoubled, components))
-    return _read_jof(plain) if tuple(map(_doubled, plain)) == components else None
+    tops = sum(map(mul, map(len, components), map(itemgetter(-1), components)))
+    if 2 * sum(map(sum, plain)) - tops != sum(map(sum, components)):
+        return None
+    return _read_jof(plain)
 
 
 def jof_of_system(system) -> Jof:
@@ -324,18 +337,39 @@ def build_centred(jof) -> CentredSumSystem:
     return tuple.__new__(CentredSumSystem, (tuple(map(_doubled, _blow_up(jof, len(products)))),))
 
 
-# Entries kept by each per-component memo (_centred_component,
-# _bits_from_start).  Their keys come only from systems with N <= _NARROW
-# whose values lie within -(N-1)..N-1, so a key holds at most 1024 ints,
-# each of magnitude below 1024, and a bitset is at most 2N bits wide.  In
-# the worst case, a full memo of distinct keys as large as they come (512
-# values for centre's, 1024 for the certificate's), they traced 7.5 and
-# 8.1 MiB on Python 3.11.  Genuine systems share a few small components:
-# after every JOF with N <= 210, the two held 0.2 and 0.15 MiB.  Over three
-# cross-check rounds of seed 1, 256 entries missed 0.8% of centre's lookups
-# and 2.2% of the certificate's; 64 entries missed 5.2% and 11%, and 1024
-# entries 0.3% and 0.4%, which saved no more time.
+# Entries kept by each per-component memo (_progressions,
+# _centred_component, _bits_from_start).  Only systems with N <= _NARROW use
+# them: a run holds at most 2 log2(N) ints, each at most N; a component
+# holds at most 1024 ints, each of magnitude below 1024; and a bitset is at
+# most 2N bits wide.  In the worst case, a full memo of distinct entries as
+# large as they come (single-part components of 769 to 1024 values for the
+# runs' memo, 512-value components for centre's, 1024-value ones for the
+# certificate's), they traced 6.8, 7.5 and 8.1 MiB on Python 3.11.  Genuine
+# systems share a few small components: after every JOF with N <= 210 the
+# three held 0.38 MiB together, as the runs' memo returns the very tuples
+# the other two are keyed by.  Over three cross-check rounds of seed 1 (71,448
+# JOFs), 256 entries missed 0.76% of the runs' lookups and of centre's, and
+# 2.2% of the certificate's; 64 entries missed 5.2%, 5.2% and 11% (24.2 us a
+# JOF), and 1024 entries 0.26%, 0.26% and 0.44% (23.3 us, against 23.9 at
+# 256: one run each on 2 shared CPUs, where runs vary by more).
 _MEMO = 256
+
+
+@lru_cache(maxsize=_MEMO)
+def _progressions(run: tuple[int, ...]) -> tuple[int, ...]:
+    """The ascending component of a part whose entries have the partial
+    products and factors F, f, F', f', ... of run: its first entry gives
+    the progression F * {0..f - 1}, and each later one adds its own."""
+    comp = range(0, run[0] * run[1], run[0])
+    if len(run) > 2:
+        comp = list(comp)
+        for i in range(2, len(run), 2):
+            step = run[i]
+            # the values built so far all lie below step, so they stay as
+            # the first block, and each further multiple of step appends
+            # them shifted
+            comp += [a + offset for offset in range(step, step * run[i + 1], step) for a in comp]
+    return tuple(comp)
 
 
 @lru_cache(maxsize=_MEMO)
@@ -527,7 +561,8 @@ def verify_sum_system(system: SumSystem) -> Verdict:
     collision also occurs; otherwise the first component whose addition
     collides is reported.
     """
-    comps, n = system.components, system.N
+    comps = system.components
+    n = prod(map(len, comps))
     if _certified(comps, n, 1) if n <= _NARROW else _read_jof(comps) is not None:
         return True, None
     for j, comp in enumerate(comps, start=1):
@@ -552,7 +587,8 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
     checks, then by folding the mapped components with the reason
     precedence of verify_sum_system.
     """
-    comps, n = centred.components, centred.N
+    comps = centred.components
+    n = prod(map(len, comps))
     if _certified(comps, n, 2) if n <= _NARROW else _read_centred(comps) is not None:
         return True, None
     plain = []
@@ -574,8 +610,9 @@ def sigma_a(system: SumSystem) -> int:
     """Sum of all N represented values, via components:
     sum over j of (N / n_j) * sum(A_j).  Equals N(N-1)/2 for genuine systems.
     """
-    n = system.N
-    return sum((n // len(comp)) * sum(comp) for comp in system.components)
+    comps = system.components
+    n = prod(map(len, comps))
+    return sum([(n // len(comp)) * sum(comp) for comp in comps])
 
 
 def tau_c(centred: CentredSumSystem) -> Fraction:
@@ -584,11 +621,9 @@ def tau_c(centred: CentredSumSystem) -> Fraction:
     Computed on doubled values then divided by 4; equals N(N^2 - 1)/12 for
     genuine systems (denominator 1 or 2 once reduced).
     """
-    n = centred.N
-    doubled = sum(
-        (n // len(comp)) * sum(map(mul, comp, comp)) for comp in centred.components
-    )
-    return Fraction(doubled, 4)
+    comps = centred.components
+    n = prod(map(len, comps))
+    return Fraction(sum([(n // len(comp)) * sum(map(mul, comp, comp)) for comp in comps]), 4)
 
 
 def system_to_json(system) -> dict:

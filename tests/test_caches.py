@@ -13,7 +13,7 @@ import sumsystems
 from sumsystems import counting, systems
 from sumsystems.systems import SumSystem
 
-MEMOS = (systems._centred_component, systems._bits_from_start)
+MEMOS = (systems._progressions, systems._centred_component, systems._bits_from_start)
 
 
 def lru_caches():
@@ -34,7 +34,11 @@ def lru_caches():
 def test_every_cache_is_bounded():
     caches = lru_caches()
     assert "sumsystems.counting._recurrence_row" in caches  # the scan is not empty
-    assert {"sumsystems.systems._centred_component", "sumsystems.systems._bits_from_start"} <= set(caches)
+    assert {
+        "sumsystems.systems._progressions",
+        "sumsystems.systems._centred_component",
+        "sumsystems.systems._bits_from_start",
+    } <= set(caches)
     unbounded = {name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None}
     assert unbounded == set()
 
@@ -52,8 +56,8 @@ def test_stirling_table_stops_at_total_62():
     ids=["2^16", "2^20"],
 )
 def test_large_systems_leave_the_memos_alone(jof):
-    plain = systems.build_sum_system(jof)
     before = [memo.cache_info() for memo in MEMOS]
+    plain = systems.build_sum_system(jof)
     centred = systems.centre(plain)
     assert systems.verify_sum_system(plain) == systems.verify_centred(centred) == (True, None)
     assert centred == systems.build_centred(jof)
@@ -97,7 +101,18 @@ def test_full_memos_hold_bounded_memory():
             half = (*range(1, 512), 512 + k)
             assert not systems._certified((tuple(-v for v in reversed(half)) + half,), 1024, 2)
 
+    def fill_progressions():
+        # single-part systems of N = 1024 down to 769, one component each:
+        # every value of a component lies below N <= 1024, and only a
+        # single part holds more than 512, so these are the largest
+        # components the memo keeps
+        for n in range(1024, 1024 - size, -1):
+            systems.build_sum_system(((1, n),))
+
     centre_kept = retained_by(fill_centre, systems._centred_component)
     bits_kept = retained_by(fill_bits, systems._bits_from_start)
+    progressions_kept = retained_by(fill_progressions, systems._progressions)
     # measured on Python 3.11: 7.5 MiB and 8.1 MiB
     assert centre_kept < 9 << 20 and bits_kept < 10 << 20, (centre_kept, bits_kept)
+    # measured on Python 3.11: 6.8 MiB
+    assert progressions_kept < 8 << 20, progressions_kept

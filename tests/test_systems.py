@@ -1,5 +1,7 @@
 """Construction, centring, verification and the two invariant statistics."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,7 +114,7 @@ class TestBuild:
             assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
 
 
-MEMOS = (systems._centred_component, systems._bits_from_start)
+MEMOS = (systems._progressions, systems._centred_component, systems._bits_from_start)
 
 
 def certified_as_the_seed(plain, centred):
@@ -124,29 +126,30 @@ def certified_as_the_seed(plain, centred):
     )
 
 
+def seed_system(jof) -> SumSystem:
+    """The system of a JOF as oracles.seed_blow_up builds it."""
+    return tuple.__new__(SumSystem, (seed_blow_up(jof, max(p for p, _ in jof)),))
+
+
 class TestAgainstSeedPaths:
-    """The one-pass blow-up, and centre and the certificate with their
-    per-component memos, against their former forms: oracles.seed_blow_up,
-    oracles.seed_centre and oracles.seed_certified."""
+    """The blow-up from per-part progressions, and centre and the
+    certificate with their per-component memos, against their former forms:
+    oracles.seed_blow_up, oracles.seed_centre and oracles.seed_certified."""
 
     def test_every_jof_up_to_128(self):
         # from empty memos, then again with them filled
         for memo in MEMOS:
             memo.cache_clear()
-        for jof in all_jofs_up_to(128):
-            seed = tuple.__new__(SumSystem, (seed_blow_up(jof, max(p for p, _ in jof)),))
-            built = build_sum_system(jof)
-            assert built == seed, jof
-            centred = centre(built)
-            assert centred == seed_centre(seed) == build_centred(jof), jof
-            assert certified_as_the_seed(built, centred), jof
-        # the brute force meets each component again: the memos engage
-        assert all(memo.cache_info().hits > memo.cache_info().misses for memo in MEMOS)
-        for jof in all_jofs_up_to(128):
-            built = build_sum_system(jof)
-            centred = centre(built)
-            assert centred == seed_centre(built), jof
-            assert certified_as_the_seed(built, centred), jof
+        for _ in ("cold", "warm"):
+            for jof in all_jofs_up_to(128):
+                seed = seed_system(jof)
+                built = build_sum_system(jof)
+                assert built == seed, jof
+                centred = centre(built)
+                assert centred == seed_centre(seed) == build_centred(jof), jof
+                assert certified_as_the_seed(built, centred), jof
+            # the brute force meets each component again: the memos engage
+            assert all(memo.cache_info().hits > memo.cache_info().misses for memo in MEMOS)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -170,6 +173,58 @@ class TestAgainstSeedPaths:
                 centre(system)
         else:
             assert centre(system) == want
+
+
+# the forms a JOF arrives in: the enumeration's tuples, lists, and pairs
+# read from a JSON document
+JOF_FORMS = {
+    "tuples": lambda jof: jof,
+    "lists": lambda jof: [list(entry) for entry in jof],
+    "json": lambda jof: json.loads(json.dumps(jof)),
+}
+
+
+class TestProgressionsMemo:
+    """The builders key systems._progressions by each part's run of ints,
+    made only once the JOF has passed its check, so no form of a JOF, nor
+    a malformed JOF, can reach another JOF's entry."""
+
+    @pytest.mark.parametrize("first", list(JOF_FORMS))
+    def test_every_form_builds_alike_cold_and_warm(self, first):
+        # the first form builds from empty memos, the others from the
+        # entries it left
+        jofs = list(all_jofs_up_to(64))
+        for memo in MEMOS:
+            memo.cache_clear()
+        for form in [first] + [form for form in JOF_FORMS if form != first]:
+            for jof in jofs:
+                given = JOF_FORMS[form](jof)
+                seed = seed_system(jof)
+                assert build_sum_system(given) == seed, (form, jof)
+                assert build_centred(given) == seed_centre(seed), (form, jof)
+
+    @pytest.mark.parametrize(
+        "jof, message",
+        [
+            (((True, 2),), "entry 1 is not a (part, factor) pair of integers"),
+            (((1, True),), "entry 1 is not a (part, factor) pair of integers"),
+            (((2, 2), (True, 2)), "entry 2 is not a (part, factor) pair of integers"),
+            (((1, 2), (2, 2.0)), "entry 2 is not a (part, factor) pair of integers"),
+            (((1, 1),), "entry 1 has factor 1; factors must be >= 2"),
+            (((1, 2), (2, 1)), "entry 2 has factor 1; factors must be >= 2"),
+        ],
+    )
+    def test_malformed_jofs_raise_before_any_lookup(self, jof, message):
+        # True and 2.0 equal and hash as 1 and 2, so each of these would
+        # alias a genuine key, and a factor 1 would make a one-value
+        # component; the memos hold the genuine keys first
+        for genuine in (((1, 2),), ((1, 2), (2, 2)), ((2, 2), (1, 2))):
+            build_sum_system(genuine)
+        before = [memo.cache_info() for memo in MEMOS]
+        for build in (build_sum_system, build_centred):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(jof)
+        assert [memo.cache_info() for memo in MEMOS] == before
 
 
 class TestConstructors:
@@ -333,10 +388,14 @@ class TestJofOfSystem:
             # unvalidated: its image (v + 2) // 2 is {0, 1, 2}, built by
             # ((1, 3),), but that JOF doubled is {-2, 0, 2}
             ((-2, 1, 2),),
+            # unvalidated: the image of both components is built by
+            # ((1, 2), (2, 4)), whose doubled form has -1 and -2 where
+            # these have 0 and -1
+            ((0, 1), (-6, -1, 2, 6)),
             # unvalidated: an empty component has no image
             ((), (-1, 1)),
         ],
-        ids=["collision", "mixed-parity", "empty"],
+        ids=["collision", "mixed-parity", "mixed-parity-twice", "empty"],
     )
     def test_no_jof_builds_the_centred_system(self, comps):
         with pytest.raises(ValueError, match="no JOF builds this system"):
