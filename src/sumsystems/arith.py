@@ -23,6 +23,8 @@ from itertools import count
 from math import comb, gcd, isqrt
 from operator import sub
 
+from . import _Record
+
 # Domain cap: values beyond it are refused before any factorisation.
 MAX_INPUT = 2**63 - 1
 
@@ -39,27 +41,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # caches keyed by n (factorise, divisors) share the bound, so a long run over
 # ever new n holds at most this many of each.
 _SIGNATURE_CACHE = 4096
-
-
-class _Record(tuple):
-    """Value semantics of the named-tuple records (PrimeFactorisation and
-    those of counting): equal only to a record of the same class with
-    equal fields, hashed as the tuple of the fields, and closed to
-    assignment."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        # NotImplemented would let tuple's own == match any equal tuple
-        return False if isinstance(other, tuple) else NotImplemented
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's own
-    __hash__ = tuple.__hash__
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 # No __slots__: the instance dict holds the cached signature.

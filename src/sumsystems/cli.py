@@ -6,8 +6,10 @@ with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
 A command reports a usage error by raising ValueError; `run` is the one
 place that prints "error: ..." and picks the exit code.
-Each command imports only the modules it runs, so `divisor-fn` loads `arith`
-alone and no counting command loads `systems`.
+Each command imports only the modules it runs, and those import only what
+they call, so `divisor-fn` loads `arith` alone, no counting command loads
+`systems`, and `build` and `verify` load `systems` and `shape` without
+`arith`, `jof` or `fractions`.
 JSON documents are written a batch at a time, never as one whole string.
 """
 
@@ -145,15 +147,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from . import jof, systems
+    from . import shape, systems
 
-    entries = jof.parse_jof_text(args.jof)
+    entries = shape.parse_jof_text(args.jof)
     # a system holds the sum of its cardinalities in values; past the bound
     # `enumerate` uses, it is refused here rather than run out of memory
-    values = sum(jof.infer_parts(entries))
-    if values > jof.DEFAULT_CAP:
+    values = sum(shape.infer_parts(entries))
+    if values > shape.DEFAULT_CAP:
         raise ValueError(
-            f"the system has {values} values, more than the build cap of {jof.DEFAULT_CAP}"
+            f"the system has {values} values, more than the build cap of {shape.DEFAULT_CAP}"
         )
     if args.sum_and_distance:
         built = systems.to_sum_and_distance(systems.build_centred(entries))
@@ -321,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cap_exceeded():
-    """jof.CapExceeded, or no class at all when no command has loaded jof
-    (so nothing can have raised it)."""
-    jof = sys.modules.get(f"{__package__}.jof")
-    return () if jof is None else jof.CapExceeded
+    """shape.CapExceeded, or no class at all when no command has loaded
+    shape (so nothing can have raised it)."""
+    shape = sys.modules.get(f"{__package__}.shape")
+    return () if shape is None else shape.CapExceeded
 
 
 def run(argv=None) -> int:

@@ -19,9 +19,9 @@ from itertools import islice, product, repeat
 from math import comb, factorial
 from operator import add, mul
 
+from . import _Record
 from .arith import (
     _SIGNATURE_CACHE,
-    _Record,
     _check_index,
     _check_positive,
     _difference_table,

@@ -7,8 +7,9 @@ are half-integers whenever max A_j is odd, so centred components are stored
 as doubled integers (2a - max A_j), which keeps everything exact.
 
 SumSystem, CentredSumSystem and SumAndDistanceSystem are named tuples over
-arith._Record, which gives them the records' value semantics (a SumSystem
-never equals a CentredSumSystem).
+the package's _Record, which gives them the records' value semantics (a
+SumSystem never equals a CentredSumSystem).  Their invariants, sigma_a and
+tau_c, live in invariants, so building and verifying load no fractions.
 
 The public constructors own every per-value rule, and _make, so _replace
 too, goes through them.  Each rule is checked once over whole tuples: first
@@ -87,15 +88,13 @@ costs bounded time and memory whatever its N.
 from __future__ import annotations
 
 from collections import namedtuple
-# module-level: importing it inside tau_c cost 1.3-1.8 us a call
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import isqrt, prod
-from operator import itemgetter, lt, mul, neg
+from operator import add, itemgetter, lt, mul, neg
 
-from .arith import _Record
-from .jof import Jof, _checked_jof
+from . import _Record
+from .shape import Jof, _checked_jof
 
 Verdict = tuple[bool, "str | None"]
 
@@ -117,8 +116,9 @@ def _check_sorted_strict(comp: tuple[int, ...]) -> None:
 
 
 def _symmetric(comp: tuple[int, ...]) -> bool:
-    """Whether comp, ascending, is symmetric about 0: its own negated reverse."""
-    return comp == tuple(map(neg, reversed(comp)))
+    """Whether comp, ascending, is symmetric about 0: its own negated
+    reverse, so each value and its mirror sum to 0."""
+    return not any(map(add, comp, reversed(comp)))
 
 
 @classmethod
@@ -604,26 +604,6 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
             return False, f"component {j} mixes parities"
         plain.append(mapped)
     return _fold(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")
-
-
-def sigma_a(system: SumSystem) -> int:
-    """Sum of all N represented values, via components:
-    sum over j of (N / n_j) * sum(A_j).  Equals N(N-1)/2 for genuine systems.
-    """
-    comps = system.components
-    n = prod(map(len, comps))
-    return sum([(n // len(comp)) * sum(comp) for comp in comps])
-
-
-def tau_c(centred: CentredSumSystem) -> Fraction:
-    """Sum of squares of all represented centred values, exactly.
-
-    Computed on doubled values then divided by 4; equals N(N^2 - 1)/12 for
-    genuine systems (denominator 1 or 2 once reduced).
-    """
-    comps = centred.components
-    n = prod(map(len, comps))
-    return Fraction(sum([(n // len(comp)) * sum(map(mul, comp, comp)) for comp in comps]), 4)
 
 
 def system_to_json(system) -> dict:

@@ -6,7 +6,8 @@ out as the CLI's document in the package's text forms,
 egf_convolution_tuple_count, the package's former fixed-tuple count read
 from its factorisation and difference table, and the package's former
 small-system paths seed_blow_up, seed_centre and seed_certified, which
-build the package's value classes and read its _NARROW, nothing here
+build the package's value classes and read its _NARROW, and its former
+symmetry test seed_symmetric, nothing here
 imports from the package: factorisation is naive trial division,
 convolution scans 1..n or the divisors listed from that factorisation, a
 convolution power squares over the same list, the seed JOF walk takes its
@@ -404,7 +405,8 @@ def _seed_doubled(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([2 * a - top for a in comp])
 
 
-def _seed_symmetric(comp: tuple[int, ...]) -> bool:
+def seed_symmetric(comp: tuple[int, ...]) -> bool:
+    """The package's former symmetry test: comp is its own negated reverse."""
     return comp == tuple(map(neg, reversed(comp)))
 
 
@@ -414,7 +416,7 @@ def seed_centre(system):
     from sumsystems.systems import CentredSumSystem
 
     comps = tuple(map(_seed_doubled, system.components))
-    if not all(map(_seed_symmetric, comps)):
+    if not all(map(seed_symmetric, comps)):
         raise ValueError("centred components must be symmetric about 0")
     return tuple.__new__(CentredSumSystem, (comps,))
 

@@ -26,6 +26,7 @@ from sumsystems.counting import (
     divisor_sum_check,
     two_dim_fixed_tuple,
 )
+from sumsystems.invariants import sigma_a, tau_c
 from sumsystems.jof import (
     count_for_tuple,
     enumerate_jofs,
@@ -36,8 +37,6 @@ from sumsystems.systems import (
     build_centred,
     build_sum_system,
     centre,
-    sigma_a,
-    tau_c,
     to_sum_and_distance,
     verify_centred,
     verify_sum_system,

@@ -851,29 +851,35 @@ class TestTopLevel:
 
     def test_count_for_tuple_loads_no_json(self):
         assert self.loads("from sumsystems import count_for_tuple") == {
-            "sumsystems", "sumsystems.arith", "sumsystems.jof"}
+            "sumsystems", "sumsystems.arith", "sumsystems.jof", "sumsystems.shape"}
 
-    @pytest.mark.parametrize("argv,unloaded", [
-        pytest.param(["divisor-fn", "--kind", "c", "--j", "2", "--n", "12"],
-                     {"counting", "jof", "systems"}, id="divisor-fn"),
-        pytest.param(["count", "--n", "720"], {"jof", "systems"}, id="count-n"),
-        pytest.param(["check", "--n", "720", "--m", "3"], {"jof", "systems"}, id="check"),
-        pytest.param(["table", "--max-n", "12", "--max-m", "3"], {"jof", "systems"},
+    def test_systems_loads_no_arithmetic_or_fractions(self):
+        assert self.loads("import sumsystems.systems") == {
+            "sumsystems", "sumsystems.shape", "sumsystems.systems"}
+
+    @pytest.mark.parametrize("argv,expected", [
+        pytest.param(["divisor-fn", "--kind", "c", "--j", "2", "--n", "12"], {"arith"},
+                     id="divisor-fn"),
+        pytest.param(["count", "--n", "720"], {"arith", "counting"}, id="count-n"),
+        pytest.param(["check", "--n", "720", "--m", "3"], {"arith", "counting"}, id="check"),
+        pytest.param(["table", "--max-n", "12", "--max-m", "3"], {"arith", "counting"},
                      id="table"),
-        pytest.param(["enumerate", "--tuple", "6,2"], {"counting", "systems"}, id="enumerate"),
-        pytest.param(["count", "--tuple", "6,2"], {"counting", "systems"}, id="count-tuple"),
-        pytest.param(["build", "--jof", "1:2,2:3"], {"counting"}, id="build"),
-        pytest.param(["verify", "--file", "system.json"], {"counting"}, id="verify"),
+        pytest.param(["enumerate", "--tuple", "6,2"], {"arith", "jof", "shape"},
+                     id="enumerate"),
+        pytest.param(["count", "--tuple", "6,2"], {"arith", "jof", "shape"}, id="count-tuple"),
+        pytest.param(["build", "--jof", "1:2,2:3"], {"shape", "systems"}, id="build"),
+        pytest.param(["verify", "--file", "system.json"], {"shape", "systems"}, id="verify"),
     ])
-    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, unloaded):
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, expected):
+        # exactly these package modules and neither fractions nor decimal,
+        # so build and verify load no arith, jof or counting
         system = systems.build_sum_system(parse_jof_text("1:2,2:3"))
         (tmp_path / "system.json").write_text(json.dumps(systems.system_to_json(system)))
         code = "import sumsystems.cli\nassert sumsystems.cli.run(sys.argv[1:]) == 0"
         loaded = self.loads(code, *argv, cwd=tmp_path)
-        assert {"sumsystems.arith", "sumsystems.cli"} <= loaded
-        assert loaded.isdisjoint(f"sumsystems.{name}" for name in unloaded)
-        if "systems" in unloaded:
-            assert loaded.isdisjoint({"fractions", "decimal"})
+        assert {name for name in loaded if name.startswith("sumsystems")} == {
+            "sumsystems", "sumsystems.cli", *(f"sumsystems.{name}" for name in expected)}
+        assert loaded.isdisjoint({"fractions", "decimal"})
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("sumsys")

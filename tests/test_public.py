@@ -70,10 +70,10 @@ def test_each_name_is_its_home_modules_object():
 
 
 def test_submodules_resolve_after_a_bare_import():
-    names = fresh("print(*(getattr(sumsystems, m).__name__"
-                  " for m in ('arith', 'counting', 'jof', 'systems')))").split()
-    assert names == ["sumsystems.arith", "sumsystems.counting", "sumsystems.jof",
-                     "sumsystems.systems"]
+    names = fresh("print(*(getattr(sumsystems, m).__name__ for m in"
+                  " ('arith', 'counting', 'invariants', 'jof', 'shape', 'systems')))").split()
+    assert names == ["sumsystems.arith", "sumsystems.counting", "sumsystems.invariants",
+                     "sumsystems.jof", "sumsystems.shape", "sumsystems.systems"]
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsystems import systems
+from sumsystems.invariants import sigma_a, tau_c
 from sumsystems.systems import (
     CentredSumSystem,
     SumAndDistanceSystem,
@@ -17,10 +18,8 @@ from sumsystems.systems import (
     centre,
     from_sum_and_distance,
     jof_of_system,
-    sigma_a,
     system_from_json,
     system_to_json,
-    tau_c,
     to_sum_and_distance,
     verify_centred,
     verify_sum_system,
@@ -32,6 +31,7 @@ from oracles import (
     seed_blow_up,
     seed_centre,
     seed_certified,
+    seed_symmetric,
     set_fold_verify,
 )
 
@@ -112,6 +112,29 @@ class TestBuild:
             with pytest.raises(ValueError) as info:
                 build(((10**12, 2),))
             assert str(info.value) == "part 1 never appears (parts run 1..1000000000000)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    half=st.lists(st.integers(-10**6, 10**6), max_size=8),
+    middle=st.one_of(st.none(), st.just(0), st.integers(-3, 3)),
+    off=st.one_of(st.none(), st.tuples(st.integers(0, 16), st.sampled_from((-1, 1)))),
+)
+def test_symmetric_as_the_seed_near_symmetric(half, middle, off):
+    """_symmetric, which sums each value with its mirror, against the former
+    negated-reverse test: symmetric tuples of odd and even length, empty
+    ones, a middle 0 or another middle, each as built or with one value
+    off by 1."""
+    comp = [-v for v in reversed(half)] + ([] if middle is None else [middle]) + half
+    if off is not None and comp:
+        comp[off[0] % len(comp)] += off[1]
+    assert systems._symmetric(tuple(comp)) == seed_symmetric(tuple(comp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 2), max_size=7))
+def test_symmetric_as_the_seed_at_random(comp):
+    assert systems._symmetric(tuple(comp)) == seed_symmetric(tuple(comp))
 
 
 MEMOS = (systems._progressions, systems._centred_component, systems._bits_from_start)
