@@ -192,12 +192,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=_SIGNATURE_CACHE)
-def nontrivial_divisors(n: int) -> tuple[int, ...]:
-    """Divisors of n that are >= 2, ascending (n itself included)."""
-    return divisors(n)[1:]
-
-
 def mobius(n: int) -> int:
     pf = factorise(n)
     if not pf.is_squarefree:

@@ -4,8 +4,8 @@ Subcommands: count, enumerate, build, verify, table, divisor-fn, check.
 Results go to stdout as a single JSON document (CSV for table, bare values
 with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
 verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
-A command reports a usage error by raising ValueError; `run` is the one
-place that prints "error: ..." and picks the exit code.
+A command reports a usage error by raising ValueError, which `run` prints
+as "error: ..." (exit 2); `enumerate` reports its cap itself (exit 3).
 Each command imports only the modules it runs, and those import only what
 they call, so `divisor-fn` loads `arith` alone, no counting command loads
 `systems`, and `build` and `verify` load `systems` and `shape` without
@@ -111,15 +111,19 @@ class _Memo(dict):
 
 
 def _cmd_enumerate(args) -> int:
-    from . import jof
+    from . import jof, shape
 
     parts = _parse_tuple(args.tuple)
-    cap = jof.DEFAULT_CAP if args.limit is None else args.limit
+    cap = shape.DEFAULT_CAP if args.limit is None else args.limit
     if cap < 0:
         raise ValueError("--limit must be non-negative")
-    parts, count = jof._counted(parts, cap)
+    try:
+        parts, count = jof._counted(parts, cap)
+    except shape.CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     write = sys.stdout.write
-    text = _Memo(lambda entry: jof.jof_to_text((entry,))).__getitem__
+    text = _Memo(lambda entry: shape.jof_to_text((entry,))).__getitem__
 
     def line(found) -> str:
         return ",".join(map(text, found))
@@ -280,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every JOF of a tuple")
     p.add_argument("--tuple", required=True, help="comma-separated cardinalities")
-    p.add_argument("--limit", type=int,  # None: jof.DEFAULT_CAP
+    p.add_argument("--limit", type=int,  # None: shape.DEFAULT_CAP
                    help="enumeration cap (exceeding it is an error, not truncation)")
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
@@ -322,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap_exceeded():
-    """shape.CapExceeded, or no class at all when no command has loaded
-    shape (so nothing can have raised it)."""
-    shape = sys.modules.get(f"{__package__}.shape")
-    return () if shape is None else shape.CapExceeded
-
-
 def run(argv=None) -> int:
     # exact values of any size, argv included: Python 3.11+ caps int <-> str
     # at 4300 digits, so the cap is lifted for this call and then restored
@@ -340,9 +337,6 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return exc.code if isinstance(exc.code, int) else 2
-    except _cap_exceeded() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

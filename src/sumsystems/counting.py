@@ -28,30 +28,27 @@ from .arith import (
     factorise,
 )
 
-_STIRLING_TOP = 62  # every count takes S(L, m) with L <= Omega(n) <= 62
 _stirling_rows: list[list[int]] = [[1]]
 
 
 def stirling2(total: int, blocks: int) -> int:
     """Stirling number of the second kind: partitions of a `total`-set into
-    `blocks` non-empty blocks.  Rows up to total 62 are grown and cached;
-    a larger total sweeps the band S(b + d, b), d <= total - blocks, alone.
-    """
+    `blocks` non-empty blocks, swept along the band S(b + d, b) with
+    d <= total - blocks."""
     _check_index(total, 0, "total")
     _check_index(blocks, 0, "blocks")
     if blocks > total:
         return 0
-    if total > _STIRLING_TOP:
-        band = [1] + [0] * (total - blocks)  # band[d] = S(b + d, b), from b = 0
-        for b in range(1, blocks + 1):
-            for d in range(1, len(band)):
-                band[d] = b * band[d - 1] + band[d]
-        return band[-1]
-    return _stirling_table(total)[total][blocks]
+    band = [1] + [0] * (total - blocks)  # band[d] = S(b + d, b), from b = 0
+    for b in range(1, blocks + 1):
+        for d in range(1, len(band)):
+            band[d] = b * band[d - 1] + band[d]
+    return band[-1]
 
 
 def _stirling_table(top: int) -> list[list[int]]:
-    """The rows S(total, .) for every total <= top <= 62, grown on first use."""
+    """The rows S(total, .) for every total <= top, grown on first use: the
+    kernel's, as every count takes S(L, m) with L <= Omega(n) <= 62."""
     while len(_stirling_rows) <= top:
         prev = _stirling_rows[-1]
         length = len(_stirling_rows)
@@ -238,7 +235,7 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
 def brute_force_count(n: int, m: int, cap: int = 10**6) -> CountResult:
     """Count m-part systems for n by enumerating every JOF of every ordered
     tuple.  The independent oracle for count_m_part; cap is the JOF cap per
-    tuple, jof.DEFAULT_CAP by default.
+    tuple, shape.DEFAULT_CAP by default.
     """
     _check_positive(n)
     _check_index(m, 1, "m")

@@ -3,7 +3,7 @@
 Every JOF of a tuple (n_1, ..., n_m) yields one sum system for
 N = n_1 ... n_m, and the enumeration here is the brute-force oracle the
 closed-form counts are checked against.  JOFs as values, with their
-checker and forms, live in shape and are re-exported here.
+checker, forms and cap, live in shape.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from .arith import (
     _check_positive,
     _difference_table,
     big_omega,
+    divisors,
     factorise,
-    nontrivial_divisors,
 )
-from .shape import (  # noqa: F401  (re-exported)
-    DEFAULT_CAP, CapExceeded, Entry, Jof, _check_parts, _checked_jof, _entry, infer_parts,
-    jof_to_pairs, jof_to_text, parse_jof_text, validate,
-)
+from .shape import DEFAULT_CAP, CapExceeded, Entry, Jof, _check_parts
 
 # JOFs the walk hands its sink at a time: a chunk is about 90 KB of the
 # `enumerate` document, so the CLI holds one chunk of JOFs, never them all
@@ -67,7 +64,7 @@ def _walk(parts: tuple[int, ...], sink) -> None:
     def steps(j: int, r: int) -> list[tuple[Entry, int]]:
         # ((part, factor), residue left) for each factor of r, ascending;
         # never empty, as r >= 2 is its own factor
-        step = moves[j][r] = [((j + 1, f), r // f) for f in nontrivial_divisors(r)]
+        step = moves[j][r] = [((j + 1, f), r // f) for f in divisors(r)[1:]]
         return step
 
     def extend(prefix: Jof, last: int, open_count: int) -> None:
@@ -116,7 +113,7 @@ def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
     if m == 1:
         return [(n,)]
     out = []
-    for f in nontrivial_divisors(n):
+    for f in divisors(n)[1:]:
         if big_omega(n // f) >= m - 1:
             for rest in ordered_factorisations(n // f, m - 1):
                 out.append((f,) + rest)

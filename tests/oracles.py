@@ -326,7 +326,7 @@ def oracle_document(parts) -> dict:
     The CLI now writes json.dumps(oracle_document(parts), indent=2) piece by
     piece; its plain format is the "text" list, one JOF per line.
     """
-    from sumsystems.jof import jof_to_pairs, jof_to_text
+    from sumsystems.shape import jof_to_pairs, jof_to_text
 
     found = seed_enumerate_jofs(parts)
     return {

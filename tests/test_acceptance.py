@@ -27,12 +27,8 @@ from sumsystems.counting import (
     two_dim_fixed_tuple,
 )
 from sumsystems.invariants import sigma_a, tau_c
-from sumsystems.jof import (
-    count_for_tuple,
-    enumerate_jofs,
-    ordered_factorisations,
-    parse_jof_text,
-)
+from sumsystems.jof import count_for_tuple, enumerate_jofs, ordered_factorisations
+from sumsystems.shape import parse_jof_text
 from sumsystems.systems import (
     build_centred,
     build_sum_system,

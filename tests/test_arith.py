@@ -25,7 +25,6 @@ from sumsystems.arith import (
     mobius,
     modified_mobius,
     nontrivial_divisor,
-    nontrivial_divisors,
     squarefree_ordered_count,
 )
 from sumsystems.counting import stirling2
@@ -171,7 +170,7 @@ class TestDivisors:
             assert {n // d for d in ds} == set(ds)
 
 
-@pytest.mark.parametrize("cached", [factorise, divisors, nontrivial_divisors])
+@pytest.mark.parametrize("cached", [factorise, divisors])
 def test_caches_keyed_by_n_are_bounded(cached):
     for n in range(10**6, 10**6 + 5000):
         cached(n)

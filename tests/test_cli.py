@@ -17,7 +17,8 @@ import pytest
 
 from sumsystems import systems
 from sumsystems.cli import run
-from sumsystems.jof import count_for_tuple, parse_jof_text
+from sumsystems.jof import count_for_tuple
+from sumsystems.shape import parse_jof_text
 
 from oracles import generalised_d, oracle_document
 

@@ -35,7 +35,8 @@ from sumsystems.counting import (
     stirling2,
     two_dim_fixed_tuple,
 )
-from sumsystems.jof import DEFAULT_CAP, CapExceeded, count_for_tuple, ordered_factorisations
+from sumsystems.jof import count_for_tuple, ordered_factorisations
+from sumsystems.shape import DEFAULT_CAP, CapExceeded
 
 from oracles import binomial_inversion, binomial_transform, divisor_recurrence, naive_stirling2
 
@@ -67,6 +68,14 @@ class TestStirling:
         for total in (63, 64, 90):
             for blocks in range(total + 2):
                 assert stirling2(total, blocks) == naive_stirling2(total, blocks), (total, blocks)
+
+    def test_band_against_the_kernels_table(self):
+        # two independent routes: stirling2 sweeps a band, _m_m reads rows
+        rows = counting._stirling_table(62)
+        for total in range(63):
+            for blocks in range(total + 2):
+                expected = rows[total][blocks] if blocks <= total else 0
+                assert stirling2(total, blocks) == expected, (total, blocks)
 
     def test_large_totals_in_bounded_time(self):
         start = time.perf_counter()
@@ -407,8 +416,8 @@ class TestBruteForce:
             brute_force_count(8, 2, cap=2)
 
     def test_default_cap_is_the_enumeration_cap(self):
-        # counting loads jof only inside brute_force_count, so it writes the
-        # default out rather than reading jof.DEFAULT_CAP
+        # counting loads shape only through jof, inside brute_force_count, so
+        # it writes the default out rather than reading shape.DEFAULT_CAP
         cap = inspect.signature(brute_force_count).parameters["cap"].default
         assert cap == DEFAULT_CAP
 

@@ -9,14 +9,12 @@ import pytest
 from sumsystems import jof
 from sumsystems.arith import nontrivial_divisor
 from sumsystems.counting import brute_force_count
-from sumsystems.jof import (
+from sumsystems.jof import count_for_tuple, enumerate_jofs, ordered_factorisations
+from sumsystems.shape import (
     CapExceeded,
-    count_for_tuple,
-    enumerate_jofs,
     infer_parts,
     jof_to_pairs,
     jof_to_text,
-    ordered_factorisations,
     parse_jof_text,
     validate,
 )
