@@ -12,7 +12,8 @@ function d_k(n) = prod over p^e || n of C(e + k - 1, e), which is defined
 for every integer k (d_k = 1^(*k) for k >= 0, mu^(*|k|) for k < 0), is a
 polynomial of degree Omega(n) in k, and depends only on the prime signature
 of n.  One difference table per signature holds every L-th difference the
-counts read; a value at an arbitrary shift is a binomial sum of its own.
+counts read; a value at an arbitrary shift is Newton's series over the
+table's k = 0 row.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ def modified_mobius(n: int) -> int:
     return -1 if pf.big_omega % 2 else 1
 
 
-@lru_cache(maxsize=_SIGNATURE_CACHE)
 def _d(k: int, signature: tuple[int, ...]) -> int:
     """Generalised d_k on a prime signature, for any integer k.
 
@@ -225,25 +225,16 @@ def _d(k: int, signature: tuple[int, ...]) -> int:
     return out
 
 
-@lru_cache(maxsize=_SIGNATURE_CACHE)
-def _binomial_d_sum(j: int, shift: int, signature: tuple[int, ...]) -> int:
-    """sum over i <= j of (-1)**i C(j, i) d_{shift - i}: the expansion of
-    (1 - e)^(*j) * 1^(*(shift - j)), since e = d_0 and 1 = d_1.
-
-    Equivalently (e - mu)^(*j) * d_shift, so shift 0 is the signed
-    square-free count (e - mu)^(*j) on the signature."""
-    return sum((-1) ** i * comb(j, i) * _d(shift - i, signature) for i in range(j + 1))
-
-
 # Filled with the 1,024 signatures of n < 2**63 with the largest Omega, this
 # cache holds 4.7 MB (19 MB at 4,096 entries), so it keeps a quarter of the
 # shared bound; a count's working set is a few dozen signatures.
 @lru_cache(maxsize=_SIGNATURE_CACHE // 4)
 def _difference_table(signature: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The backward differences nabla^L d at -1, 0, 1 and at L itself, each
-    for L = 0 .. Omega: the first three equal _binomial_d_sum(L, s, signature)
-    for s = -1, 0, 1, the last is c_L.  d_k is a polynomial of degree Omega
-    in k, so every difference past Omega is 0."""
+    for L = 0 .. Omega: the first three are (e - mu)^(*L) * d_s for
+    s = -1, 0, 1, the last is c_L.  d_k is a polynomial of degree Omega in
+    k, so every difference past Omega is 0, and the k = 0 row determines
+    nabla^L d at every k by Newton's series (associated_divisor)."""
     omega = sum(signature)
     # nabla^L d(k) for k = L - omega - 1 .. omega + 1, at index k + omega + 1 - L
     level = [_d(k, signature) for k in range(-omega - 1, omega + 2)]
@@ -269,8 +260,8 @@ def classical_divisor(j: int, n: int) -> int:
 def nontrivial_divisor(j: int, n: int) -> int:
     """c_j(n): ordered factorisations of n into j factors, all >= 2.
 
-    Alternating binomial sum over classical divisor functions, from
-    (1 - e)^(*j) expanded binomially.  Vanishes when j > Omega(n).
+    nabla^j d at k = j, read by Newton's series over the table's k = 0 row
+    (associated_divisor at r = 0).  Vanishes when j > Omega(n).
     """
     return associated_divisor(j, 0, n)
 
@@ -280,15 +271,19 @@ def associated_divisor(j: int, r: int, n: int) -> int:
     for negative r.
 
     For r >= 0 this counts ordered factorisations of n into j + r factors
-    of which the first j are >= 2.  Vanishes when j > Omega(n), for every
-    r, since (1-e)^(*j) is zero on every divisor of n.
+    of which the first j are >= 2.  The value is nabla^j d at k = j + r,
+    read by Newton's series over the table's k = 0 row s:
+    sum over i <= Omega - j of C(k + i - 1, i) s(j + i).  Vanishes when
+    j > Omega(n), for every r, as the series is then empty.
     """
     _check_index(j, 0, "j")
     _check_index(r, None, "r")
-    pf = factorise(n)
-    if j > pf.big_omega:
-        return 0
-    return _binomial_d_sum(j, j + r, pf.signature)
+    k = j + r
+    total, term = 0, 1  # term = C(k + i - 1, i), exact for every integer k
+    for i, value in enumerate(_difference_table(factorise(n).signature)[1][j:]):
+        total += term * value
+        term = term * (k + i) // (i + 1)
+    return total
 
 
 def squarefree_ordered_count(length: int, n: int) -> int:

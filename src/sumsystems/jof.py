@@ -8,12 +8,10 @@ checker, forms and cap, live in shape.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial, prod
 from operator import add, itemgetter, mul
 
 from .arith import (
-    _SIGNATURE_CACHE,
     _check_index,
     _check_positive,
     _difference_table,
@@ -135,9 +133,6 @@ def ordered_factorisations(n: int, m: int) -> list[tuple[int, ...]]:
 _SPLIT = 4
 
 
-# Omega + 1 - e integers an entry, as many as a row of _difference_table,
-# so the same quarter of the shared bound
-@lru_cache(maxsize=_SIGNATURE_CACHE // 4)
 def _scaled_series(signature: tuple[int, ...]) -> tuple[int, ...]:
     """R(t) = sum over l of s(l) Omega!/l! t^(l - e), for l = e .. Omega,
     with e the largest exponent and s the signed square-free counts

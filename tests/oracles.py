@@ -252,6 +252,13 @@ def generalised_d(k: int, n: int) -> int:
     return out * k if n > 1 else out
 
 
+def binomial_d_sum(j: int, shift: int, n: int) -> int:
+    """sum over i <= j of (-1)**i C(j, i) d_{shift - i}(n): the j-th backward
+    difference in k of generalised_d at k = shift, which is
+    (e - mu)^(*j) * d_shift, and c_j^(r)(n) at shift = j + r."""
+    return sum((-1) ** i * comb(j, i) * generalised_d(shift - i, n) for i in range(j + 1))
+
+
 @cache
 def divisor_recurrence(n: int, m: int) -> int:
     """Ordered m-part system count from the divisor-sum recurrence

@@ -1,6 +1,7 @@
-"""Cache policy: every lru_cache in the package is bounded, the Stirling
-table keeps only the totals a count can use, and the per-component memos of
-small systems keep nothing of a large one and a bounded memory when full."""
+"""Cache policy: the package has exactly its listed lru_caches, each
+bounded; the Stirling table keeps only the totals a count can use; and the
+per-component memos of small systems keep nothing of a large one and a
+bounded memory when full."""
 
 import gc
 import importlib
@@ -33,12 +34,17 @@ def lru_caches():
 
 def test_every_cache_is_bounded():
     caches = lru_caches()
-    assert "sumsystems.counting._recurrence_row" in caches  # the scan is not empty
-    assert {
+    # exactly these: a cache added or dropped is a decision this test records
+    assert set(caches) == {
+        "sumsystems.arith.factorise",
+        "sumsystems.arith.divisors",
+        "sumsystems.arith._difference_table",
+        "sumsystems.counting._m_m",
+        "sumsystems.counting._recurrence_row",
         "sumsystems.systems._progressions",
         "sumsystems.systems._centred_component",
         "sumsystems.systems._bits_from_start",
-    } <= set(caches)
+    }
     unbounded = {name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None}
     assert unbounded == set()
 
