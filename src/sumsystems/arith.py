@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import count
-from math import comb, gcd, isqrt
+from itertools import chain, count
+from math import comb, gcd
 from operator import sub
 
 from . import _Record
@@ -91,29 +91,22 @@ def _check_index(value: int, least: int | None, name: str) -> None:
 @lru_cache(maxsize=_SIGNATURE_CACHE)
 def factorise(n: int) -> PrimeFactorisation:
     """Factorisation of a positive integer up to 2**63 - 1: trial division
-    below _TRIAL, then _large_primes on the cofactor left."""
+    by 2 and the odd p < _TRIAL while p*p <= m; a cofactor m > 1 left is
+    prime if p*p > m, else _large_primes splits it (no factor below _TRIAL)."""
     _check_positive(n)
     m = n
     factors: list[tuple[int, int]] = []
-    for p in (2, 3):
+    for p in chain((2,), range(3, _TRIAL, 2)):
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    # remaining prime factors are of the form 6k +- 1
-    p = 5
-    while p <= isqrt(m) and p < _TRIAL:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += 2 if p % 6 == 5 else 4
     if m > 1:
-        primes = [m] if p > isqrt(m) else _large_primes(m)
+        primes = [m] if p * p > m else _large_primes(m)
         factors += [(q, primes.count(q)) for q in sorted(set(primes))]
     return PrimeFactorisation(n, tuple(factors))
 

@@ -50,13 +50,8 @@ def _stirling_table(top: int) -> list[list[int]]:
     """The rows S(total, .) for every total <= top, grown on first use: the
     kernel's, as every count takes S(L, m) with L <= Omega(n) <= 62."""
     while len(_stirling_rows) <= top:
-        prev = _stirling_rows[-1]
-        length = len(_stirling_rows)
-        row = [0] * (length + 1)
-        for k in range(1, length + 1):
-            above = prev[k] if k < length else 0
-            row[k] = k * above + prev[k - 1]
-        _stirling_rows.append(row)
+        prev = _stirling_rows[-1] + [0]
+        _stirling_rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))])
     return _stirling_rows
 
 
@@ -109,14 +104,8 @@ def _divisor_classes(signature: tuple[int, ...]) -> set[tuple[int, ...]]:
     divisor is formed or factorised."""
     classes = {()}
     for e in reversed(signature):
-        grown = set()
-        for sub in classes:
-            i = 0
-            for a in range(e, -1, -1):
-                while i < len(sub) and sub[i] > a:
-                    i += 1
-                grown.add(sub[:i] + (a,) + sub[i:] if a else sub)
-        classes = grown
+        classes = {tuple(sorted(sub + (a,), reverse=True)) if a else sub
+                   for sub in classes for a in range(e + 1)}
     return classes
 
 

@@ -8,6 +8,7 @@ checker, forms and cap, live in shape.
 
 from __future__ import annotations
 
+import sys
 from math import factorial, prod
 from operator import add, itemgetter, mul
 
@@ -29,8 +30,9 @@ _CHUNK = 256
 def _counted(parts, cap: int) -> tuple[tuple[int, ...], int]:
     """The checked tuple and its number of JOFs.  Raises CapExceeded up
     front when m! passes cap, as any m parts have at least m! JOFs (one
-    entry per part, in any order), and otherwise when count_for_tuple does.
-    """
+    entry per part, in any order), and otherwise when count_for_tuple does;
+    then ValueError when a JOF, of at most sum Omega(n_j) entries, may pass
+    half the recursion limit, as _walk recurses once per entry."""
     parts = _check_parts(parts)
     orders = 1
     for i in range(2, len(parts) + 1):
@@ -40,6 +42,9 @@ def _counted(parts, cap: int) -> tuple[tuple[int, ...], int]:
     count = count_for_tuple(parts)
     if count > cap:
         raise CapExceeded(cap)
+    depth = sys.getrecursionlimit() // 2
+    if sum(map(big_omega, parts)) > depth:
+        raise ValueError(f"JOFs of this tuple may have more than {depth} entries, too deep to walk")
     return parts, count
 
 
@@ -92,7 +97,7 @@ def enumerate_jofs(parts, cap: int = DEFAULT_CAP) -> list[Jof]:
     """All JOFs of a target tuple, in lexicographic (part, factor) order.
 
     Raises CapExceeded before building any when m! or the number of JOFs
-    passes cap.
+    passes cap, and ValueError when they may be too long to walk (_counted).
     """
     out: list[Jof] = []
     _walk(_counted(parts, cap)[0], out.extend)

@@ -248,8 +248,9 @@ def _read_jof(components) -> Jof | None:
     partial product F = comp[b], and its factor f is the first t >= 2 where
     the component ends at t*b or comp[t*b] != t*F; a genuine component
     holds t*F there for every t < f.  The entries of all parts, sorted by
-    F, must chain as F(1) = 1, F(l+1) = F(l)*f_l with no part twice in a
-    row, and the JOF they make must rebuild the components exactly.  Each
+    F, must chain as F(1) = 1, F(l+1) = F(l)*f_l, and the JOF they make must
+    rebuild the components exactly.  No part follows itself: its next entry
+    would have comp[f*b] = F*f, so the read would not stop at f.  Each
     factor read ends where its part's values do, so the factors of every
     part multiply to its size and the product of all of them is N.
     """
@@ -269,12 +270,11 @@ def _read_jof(components) -> Jof | None:
         if built != size:
             return None
     entries.sort()
-    partial, last = 1, 0
-    for step, factor, part in entries:
-        if step != partial or part == last:
+    partial = 1
+    for step, factor, _ in entries:
+        if step != partial:
             return None
         partial *= factor
-        last = part
     jof = tuple([(part, factor) for _, factor, part in entries])
     if _blow_up(jof, len(components)) != tuple(components):
         return None
@@ -359,16 +359,12 @@ _MEMO = 256
 def _progressions(run: tuple[int, ...]) -> tuple[int, ...]:
     """The ascending component of a part whose entries have the partial
     products and factors F, f, F', f', ... of run: its first entry gives
-    the progression F * {0..f - 1}, and each later one adds its own."""
-    comp = range(0, run[0] * run[1], run[0])
-    if len(run) > 2:
-        comp = list(comp)
-        for i in range(2, len(run), 2):
-            step = run[i]
-            # the values built so far all lie below step, so they stay as
-            # the first block, and each further multiple of step appends
-            # them shifted
-            comp += [a + offset for offset in range(step, step * run[i + 1], step) for a in comp]
+    the progression F * {0..f - 1}, and each later one (F', f') appends
+    the values built so far, all below F', shifted by F', ..., (f' - 1)F'."""
+    comp = list(range(0, run[0] * run[1], run[0]))
+    for i in range(2, len(run), 2):
+        step = run[i]
+        comp += [a + offset for offset in range(step, step * run[i + 1], step) for a in comp]
     return tuple(comp)
 
 
@@ -584,8 +580,8 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
     mapped by v -> (v + M) / 2 onto 0..M.  The map is affine, so the mapped
     components tile 0..N-1 exactly when the doubled ones tile -(N-1)..N-1
     in steps of 2.  A rejection is named by the size, symmetry and parity
-    checks, then by folding the mapped components with the reason
-    precedence of verify_sum_system.
+    checks (the last as the constructor makes it), then by folding the
+    mapped components with the reason precedence of verify_sum_system.
     """
     comps = centred.components
     n = prod(map(len, comps))
@@ -597,12 +593,9 @@ def verify_centred(centred: CentredSumSystem) -> Verdict:
             return False, f"component {j} has fewer than 2 values"
         if not _symmetric(comp):
             return False, f"component {j} is not symmetric about 0"
-        mapped = _undoubled(comp)
-        # comp sums to 0, so 2 * sum(mapped) falls short of len(comp) * max
-        # by the number of values whose parity differs from the maximum's
-        if 2 * sum(mapped) != len(comp) * comp[-1]:
+        if sum(map((1).__and__, comp)) not in (0, len(comp)):
             return False, f"component {j} mixes parities"
-        plain.append(mapped)
+        plain.append(_undoubled(comp))
     return _fold(plain, n, "doubled sums do not cover -(N-1)..N-1 in steps of 2")
 
 

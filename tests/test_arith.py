@@ -126,6 +126,14 @@ class TestFactorise:
         825265: ((5, 1), (7, 1), (17, 1), (19, 1), (73, 1)),
         3215031751: ((151, 1), (751, 1), (28351, 1)),
         3825123056546413051: ((149491, 1), (747451, 1), (34233211, 1)),
+        # at the trial bound 1024: the primes either side of it, squared,
+        # multiplied together, doubled, and after three smaller primes
+        1021**2: ((1021, 2),),
+        1031**2: ((1031, 2),),
+        1021 * 1031: ((1021, 1), (1031, 1)),
+        1031 * 1033: ((1031, 1), (1033, 1)),
+        2 * 1031**2: ((2, 1), (1031, 2)),
+        1023 * 1031: ((3, 1), (11, 1), (31, 1), (1031, 1)),
     }
 
     def test_frozen_in_bounded_time(self):

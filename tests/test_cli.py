@@ -209,6 +209,15 @@ class TestEnumerate:
         assert proc.stdout == ""
         assert proc.stderr == "error: enumeration exceeds the cap of 1000000 results\n"
 
+    def test_tuple_deeper_than_the_walk_is_a_usage_error(self, capsys):
+        # JOFs of up to 62 entries a part, past half the recursion limit
+        parts = ",".join([str(2**62)] * (sys.getrecursionlimit() // 62 + 1))
+        code, out, err = invoke(capsys, "enumerate", "--tuple", parts, "--limit", "1" + "0" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: JOFs of this tuple may have more than ")
+        assert "Traceback" not in err
+
     def test_negative_limit_is_a_usage_error(self, capsys):
         code, out, err = invoke(capsys, "enumerate", "--tuple", "12", "--limit", "-1")
         assert code == 2

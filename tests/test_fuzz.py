@@ -126,15 +126,6 @@ def check_in_child(argv, path) -> None:
     assert code == 0, "the gate failed in the child"
 
 
-def check_shallow(argv, path) -> None:
-    """check(argv), a RecursionError raised again without its thousands of
-    frames, which the test report would take seconds to lay out."""
-    try:
-        check(argv, path)
-    except RecursionError as exc:
-        raise RecursionError(str(exc)) from None
-
-
 def csv(values) -> str:
     return ",".join(map(str, values))
 
@@ -338,10 +329,10 @@ HUGE_J = argv_of(
 HUGE_MULTINOMIAL = st.integers(4000, 6000).map(
     lambda k: ["count", "--tuple", csv([2**62] * k)]
 )
-# the walk recurses once per entry, so a JOF of thousands of entries, which
-# only a --limit past the count of dozens of parts of 2**62 reaches, raises
-# RecursionError (Hypothesis lifts the recursion limit by 2000 frames, so
-# these JOFs run past 3000 entries)
+# the walk recurses once per entry, so a tuple whose JOFs may run past half
+# the recursion limit, which only a --limit past the count of dozens of parts
+# of 2**62 reaches, is refused with exit 2 (Hypothesis lifts the recursion
+# limit by 2000 frames, so these JOFs run past 3000 entries)
 DEEP_WALK = st.integers(50, 120).map(
     lambda k: ["enumerate", "--tuple", csv([2**62] * k), "--limit", "1" + "0" * 20000]
 )
@@ -371,8 +362,7 @@ CLASSES = {
     "huge-multinomial": _xfail(HUGE_MULTINOMIAL, check_in_child, OverBudget,
                                "thousands of prime powers: one quadratic division and "
                                "a 10^6-digit str()"),
-    "deep-walk": _xfail(DEEP_WALK, check_shallow, RecursionError,
-                        "jof._walk recurses once per entry of a JOF"),
+    "deep-walk": (DEEP_WALK, GATE, check),
 }
 
 

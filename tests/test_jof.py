@@ -1,6 +1,7 @@
 """Joint ordered factorisations: validation, enumeration, closed-form count."""
 
 import random
+import sys
 import time
 from math import factorial, prod
 
@@ -458,6 +459,29 @@ class TestCapByOrders:
 
     def test_m_factorial_at_the_cap_enumerates(self):
         assert len(enumerate_jofs((2, 2, 2), cap=6)) == 6
+
+
+class TestDepthRefusal:
+    """_walk recurses once per JOF entry, so a tuple whose JOFs may have more
+    entries than half the recursion limit is refused, after the caps."""
+
+    def test_refused_before_any_jof(self):
+        depth = sys.getrecursionlimit() // 2
+        with pytest.raises(ValueError, match=f"more than {depth} entries"):
+            enumerate_jofs([2**62] * (depth // 62 + 1), cap=10**5000)
+
+    def test_bound_is_half_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() // 2
+        parts = (2**62,) * (depth // 62) + (2 ** (depth % 62),) * (depth % 62 > 0)
+        assert jof._counted(parts, 10**5000)[0] == parts
+        with pytest.raises(ValueError):
+            jof._counted(parts + (2,), 10**5000)
+
+    def test_caps_are_checked_first(self):
+        # 9! is below the default cap and the count is not; the JOFs may
+        # have 558 entries, past half the default recursion limit of 1000
+        with pytest.raises(CapExceeded):
+            enumerate_jofs([2**62] * 9)
 
 
 class TestTwelveStartingWithPartOne:

@@ -1,6 +1,7 @@
 """Construction, centring, verification and the two invariant statistics."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from sumsystems.systems import (
     verify_centred,
     verify_sum_system,
 )
+from sumsystems.shape import validate
 
 from oracles import (
     all_jofs_up_to,
@@ -382,6 +384,37 @@ class TestJofOfSystem:
         assert jof_of_system(SumSystem(SYSTEM_A)) == JOF_A
         assert jof_of_system(centre(SumSystem(SYSTEM_A))) == JOF_A
         assert jof_of_system(CentredSumSystem(CENTRED_A)) == JOF_A
+
+    # the read takes each factor as the longest progression its component
+    # holds, so no part follows itself in the chain it reads: the shape
+    # checker must accept every JOF it returns
+    def test_read_of_every_shuffled_small_system_is_a_valid_jof(self):
+        rng = random.Random(64)
+        for jof in all_jofs_up_to(64):
+            comps = list(build_sum_system(jof).components)
+            rng.shuffle(comps)
+            read = systems._read_jof(comps)
+            assert read is not None, jof
+            assert validate(read, tuple(map(len, comps))) == (True, None), jof
+
+    # random small components, and the blow-ups of random entry lists, in
+    # which a part may follow itself (its two factors then read as one)
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(
+                st.sets(st.integers(1, 15), max_size=5).map(lambda values: tuple(sorted({0, *values}))),
+                min_size=1,
+                max_size=4,
+            ),
+            st.lists(st.tuples(st.integers(1, 3), st.integers(2, 4)), min_size=1, max_size=6).map(
+                lambda entries: seed_blow_up(entries, max(part for part, _ in entries))
+            ),
+        )
+    )
+    def test_read_of_random_components_is_none_or_a_valid_jof(self, comps):
+        read = systems._read_jof(comps)
+        assert read is None or validate(read, tuple(map(len, comps))) == (True, None)
 
     def test_reads_permuted_components(self):
         # {0, 2} + {0, 1} tiles 0..3: part 2 takes the first factor
