@@ -30,9 +30,9 @@ _PUBLIC = {
     "systems": (
         "CentredSumSystem", "SumAndDistanceSystem", "SumSystem", "build_centred",
         "build_sum_system", "centre", "from_sum_and_distance", "jof_of_system",
-        "system_from_json", "system_to_json", "to_sum_and_distance", "verify_centred",
-        "verify_sum_system",
+        "system_from_json", "system_to_json", "to_sum_and_distance",
     ),
+    "verify": ("verify_centred", "verify_sum_system"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -8,8 +8,8 @@ A command reports a usage error by raising ValueError, which `run` prints
 as "error: ..." (exit 2); `enumerate` reports its cap itself (exit 3).
 Each command imports only the modules it runs, and those import only what
 they call, so `divisor-fn` loads `arith` alone, no counting command loads
-`systems`, and `build` and `verify` load `systems` and `shape` without
-`arith`, `jof` or `fractions`.
+`systems`, `build` loads `systems` and `shape`, and `verify` loads those
+and `verify`, without `arith`, `jof` or `fractions`.
 JSON documents are written a batch at a time, never as one whole string.
 """
 
@@ -181,7 +181,7 @@ def _doc_int(text: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import systems
+    from . import systems, verify
 
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -199,9 +199,9 @@ def _cmd_verify(args) -> int:
             system = None
         else:
             if isinstance(system, systems.CentredSumSystem):
-                ok, reason = systems.verify_centred(system)
+                ok, reason = verify.verify_centred(system)
             else:
-                ok, reason = systems.verify_sum_system(system)
+                ok, reason = verify.verify_sum_system(system)
     verdict = {"ok": ok, "reason": reason}
     if system is not None:
         verdict["N"] = system.N

@@ -6,8 +6,9 @@ out as the CLI's document in the package's text forms,
 egf_convolution_tuple_count, the package's former fixed-tuple count read
 from its factorisation and difference table, and the package's former
 small-system paths seed_blow_up, seed_centre and seed_certified, which
-build the package's value classes and read its _NARROW, and its former
-symmetry test seed_symmetric, nothing here
+build the package's value classes and read its _NARROW, its former
+certificate bitset seed_bitset and its former symmetry test
+seed_symmetric, nothing here
 imports from the package: factorisation is naive trial division,
 convolution scans 1..n or the divisors listed from that factorisation, a
 convolution power squares over the same list, the seed JOF walk takes its
@@ -428,6 +429,13 @@ def seed_centre(system):
     return tuple.__new__(CentredSumSystem, (comps,))
 
 
+def seed_bitset(comp) -> int:
+    """The package's former certificate bitset of an ascending component
+    shifted to start at 0: the sum of 2^(v - min) over its values v."""
+    low = comp[0]
+    return sum(map((1).__lshift__, map((-low).__add__, comp) if low else comp))
+
+
 def seed_certified(components, n: int, step: int) -> bool:
     """The package's former bitset certificate: every guard over all
     components, then the product."""
@@ -443,6 +451,6 @@ def seed_certified(components, n: int, step: int) -> bool:
     if sum(tops) - sum(lows) > step * (n - 1):
         return False
     bits = 1
-    for comp, low in zip(components, lows):
-        bits *= sum(map((1).__lshift__, map((-low).__add__, comp) if low else comp))
+    for comp in components:
+        bits *= seed_bitset(comp)
     return bits == ((1 << step * n) - 1) // ((1 << step) - 1)

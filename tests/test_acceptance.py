@@ -34,9 +34,8 @@ from sumsystems.systems import (
     build_sum_system,
     centre,
     to_sum_and_distance,
-    verify_centred,
-    verify_sum_system,
 )
+from sumsystems.verify import verify_centred, verify_sum_system
 
 from oracles import binomial_inversion, binomial_transform, dirichlet
 

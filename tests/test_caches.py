@@ -11,10 +11,10 @@ import tracemalloc
 import pytest
 
 import sumsystems
-from sumsystems import counting, systems
+from sumsystems import counting, systems, verify
 from sumsystems.systems import SumSystem
 
-MEMOS = (systems._progressions, systems._centred_component, systems._bits_from_start)
+MEMOS = (systems._progressions, systems._centred_component, verify._bitset)
 
 
 def lru_caches():
@@ -43,7 +43,7 @@ def test_every_cache_is_bounded():
         "sumsystems.counting._recurrence_row",
         "sumsystems.systems._progressions",
         "sumsystems.systems._centred_component",
-        "sumsystems.systems._bits_from_start",
+        "sumsystems.verify._bitset",
     }
     unbounded = {name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None}
     assert unbounded == set()
@@ -65,7 +65,7 @@ def test_large_systems_leave_the_memos_alone(jof):
     before = [memo.cache_info() for memo in MEMOS]
     plain = systems.build_sum_system(jof)
     centred = systems.centre(plain)
-    assert systems.verify_sum_system(plain) == systems.verify_centred(centred) == (True, None)
+    assert verify.verify_sum_system(plain) == verify.verify_centred(centred) == (True, None)
     assert centred == systems.build_centred(jof)
     # not even a lookup: no entry is made, and none is evicted
     assert [memo.cache_info() for memo in MEMOS] == before
@@ -105,7 +105,7 @@ def test_full_memos_hold_bounded_memory():
         # certificate's memo takes, each past its guards
         for k in range(size):
             half = (*range(1, 512), 512 + k)
-            assert not systems._certified((tuple(-v for v in reversed(half)) + half,), 1024, 2)
+            assert not verify._certified((tuple(-v for v in reversed(half)) + half,), 1024, 2)
 
     def fill_progressions():
         # single-part systems of N = 1024 down to 769, one component each:
@@ -116,7 +116,7 @@ def test_full_memos_hold_bounded_memory():
             systems.build_sum_system(((1, n),))
 
     centre_kept = retained_by(fill_centre, systems._centred_component)
-    bits_kept = retained_by(fill_bits, systems._bits_from_start)
+    bits_kept = retained_by(fill_bits, verify._bitset)
     progressions_kept = retained_by(fill_progressions, systems._progressions)
     # measured on Python 3.11: 7.5 MiB and 8.1 MiB
     assert centre_kept < 9 << 20 and bits_kept < 10 << 20, (centre_kept, bits_kept)

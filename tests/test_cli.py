@@ -873,7 +873,8 @@ class TestTopLevel:
                      id="enumerate"),
         pytest.param(["count", "--tuple", "6,2"], {"arith", "jof", "shape"}, id="count-tuple"),
         pytest.param(["build", "--jof", "1:2,2:3"], {"shape", "systems"}, id="build"),
-        pytest.param(["verify", "--file", "system.json"], {"shape", "systems"}, id="verify"),
+        pytest.param(["verify", "--file", "system.json"], {"shape", "systems", "verify"},
+                     id="verify"),
     ])
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, expected):
         # exactly these package modules and neither fractions nor decimal,

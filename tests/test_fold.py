@@ -21,21 +21,21 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumsystems import systems
+from sumsystems import systems, verify
 from sumsystems.cli import run
 from sumsystems.systems import (
     CentredSumSystem,
     SumSystem,
+    build_centred,
     build_sum_system,
     centre,
     jof_of_system,
     system_from_json,
     system_to_json,
-    verify_centred,
-    verify_sum_system,
 )
+from sumsystems.verify import verify_centred, verify_sum_system
 
-from oracles import all_jofs_up_to, seed_centre, seed_certified, set_fold_verify
+from oracles import all_jofs_up_to, seed_bitset, seed_centre, seed_certified, set_fold_verify
 
 PLAIN_COVER = "sums do not cover 0..1"
 CENTRED_COVER = "doubled sums do not cover -(N-1)..N-1 in steps of 2"
@@ -67,12 +67,19 @@ def check_against_oracle(system):
     return got
 
 
+def patch_read(monkeypatch, read):
+    """Patch the JOF read where the verifiers call it: verify_sum_system
+    directly, verify_centred through systems._read_centred."""
+    for module in (systems, verify):
+        monkeypatch.setattr(module, "_read_jof", read)
+
+
 def by_the_fold_alone(cases):
     """Verdicts (plain, centred) on (plain, centred) cases when the
     certificate and the JOF read both fail, so the fold decides alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(systems, "_certified", lambda *args: False)
-        patch.setattr(systems, "_read_jof", lambda components: None)
+        patch.setattr(verify, "_certified", lambda *args: False)
+        patch_read(patch, lambda components: None)
         return [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
 
 
@@ -305,13 +312,13 @@ def small_systems():
 def recording_fold(monkeypatch):
     """Patch the verifiers' fold with one that keeps each verdict it gives."""
     verdicts = []
-    fold = systems._fold
+    fold = verify._fold
 
     def recorded(*args):
         verdicts.append(fold(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(systems, "_fold", recorded)
+    monkeypatch.setattr(verify, "_fold", recorded)
     return verdicts
 
 
@@ -331,14 +338,14 @@ class TestReadRoute:
 
     def test_genuine_system_of_many_values_skips_the_fold(self, monkeypatch):
         # N = 2048 is only 21 times its 96 values: the read decides it too
-        monkeypatch.setattr(systems, "_fold", no_fold)
+        monkeypatch.setattr(verify, "_fold", no_fold)
         system = build_sum_system(((1, 32), (2, 64)))
         assert system.N == 2048 and sum(system.cardinalities) == 96
         assert verify_sum_system(system) == (True, None)
         assert verify_centred(centre(system)) == (True, None)
 
     def test_genuine_large_system_skips_the_fold(self, monkeypatch):
-        monkeypatch.setattr(systems, "_fold", no_fold)
+        monkeypatch.setattr(verify, "_fold", no_fold)
         system = build_sum_system(LARGE_JOF)
         assert system.N == 3 * math.factorial(9)
         assert verify_sum_system(system) == (True, None)
@@ -351,7 +358,7 @@ class TestReadRoute:
         system = build_sum_system(LARGE_JOF)
         path = tmp_path / "large.json"
         path.write_text(json.dumps(system_to_json(centre(system) if centred else system)))
-        monkeypatch.setattr(systems, "_fold", no_fold)
+        monkeypatch.setattr(verify, "_fold", no_fold)
         code = run(["verify", "--file", str(path)])
         verdict = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -392,7 +399,7 @@ def counting_reads(monkeypatch):
         reads.append(components)
         return read(components)
 
-    monkeypatch.setattr(systems, "_read_jof", counted)
+    patch_read(monkeypatch, counted)
     return reads
 
 
@@ -411,16 +418,16 @@ def refused_as_unbuilt(cases, fold_alone):
 
 
 class TestFoldBudget:
-    """A fold stage past systems._BUDGET bits is not folded: the JOF read
+    """A fold stage past verify._BUDGET bits is not folded: the JOF read
     has failed before the fold, and each sum system is the blow-up of
     exactly one JOF, so the components are refused."""
 
     def test_last_stage_within_the_budget_names_the_collision(self):
-        assert systems._BUDGET == 1 << 24
+        assert verify._BUDGET == 1 << 24
         for centred in (False, True):
             system = distinct_until_last(24, centred)
-            verify = verify_centred if centred else verify_sum_system
-            assert verify(system) == (False, "sums collide when component 24 is added")
+            verifier = verify_centred if centred else verify_sum_system
+            assert verifier(system) == (False, "sums collide when component 24 is added")
 
     # larger k run only in a memory-limited subprocess (tests/test_cli.py),
     # as a fold without the budget would grow with 2^k
@@ -435,15 +442,15 @@ class TestFoldBudget:
     def test_every_small_system_keeps_its_verdict(self, monkeypatch, small_systems, budget):
         # under a small budget a rejection the fold would name is refused
         # as unbuilt instead, and no verdict changes
-        monkeypatch.setattr(systems, "_BUDGET", budget)
+        monkeypatch.setattr(verify, "_BUDGET", budget)
         assert refused_as_unbuilt(*small_systems)  # the budget was reached on rejected systems
 
     def test_every_small_system_keeps_its_verdict_under_a_low_price(
         self, monkeypatch, small_systems
     ):
-        # a dense stage priced past systems._PRICE is refused as unbuilt
+        # a dense stage priced past verify._PRICE is refused as unbuilt
         # instead of multiplied, and no verdict changes
-        monkeypatch.setattr(systems, "_PRICE", 1 << 6)
+        monkeypatch.setattr(verify, "_PRICE", 1 << 6)
         assert refused_as_unbuilt(*small_systems)  # the price was reached on rejected systems
 
 
@@ -466,12 +473,12 @@ def unchecked(cls, comps):
 
 
 class TestCertificate:
-    """systems._certified: one bitset product proves a system with
+    """verify._certified: one bitset product proves a system with
     N <= systems._NARROW genuine, before any per-component check."""
 
     def test_every_genuine_small_system_is_certified(self, monkeypatch):
-        monkeypatch.setattr(systems, "_fold", no_fold)
-        monkeypatch.setattr(systems, "_read_jof", no_read)
+        monkeypatch.setattr(verify, "_fold", no_fold)
+        patch_read(monkeypatch, no_read)
         for jof in all_jofs_up_to(96):
             plain = build_sum_system(jof)
             assert verify_sum_system(plain) == (True, None), jof
@@ -504,9 +511,9 @@ class TestCertificate:
     )
     def test_refused_with_the_reason_of_the_checks(self, system, reason):
         step = 2 if isinstance(system, CentredSumSystem) else 1
-        assert not systems._certified(system.components, system.N, step)
-        verify = verify_centred if step == 2 else verify_sum_system
-        assert verify(system) == (False, reason)
+        assert not verify._certified(system.components, system.N, step)
+        verifier = verify_centred if step == 2 else verify_sum_system
+        assert verifier(system) == (False, reason)
 
 
 @st.composite
@@ -535,7 +542,7 @@ def small_candidates(draw):
 @given(small_candidates())
 def test_certified_only_what_the_set_fold_accepts(candidate):
     comps, step = candidate
-    if systems._certified(comps, prod(map(len, comps)), step):
+    if verify._certified(comps, prod(map(len, comps)), step):
         assert set_fold_verify(comps, centred=step == 2) == (True, None)
 
 
@@ -544,7 +551,34 @@ def test_certified_only_what_the_set_fold_accepts(candidate):
 def test_certified_as_the_seed_certificate(candidate):
     comps, step = candidate
     n = prod(map(len, comps))
-    assert systems._certified(comps, n, step) == seed_certified(comps, n, step)
+    assert verify._certified(comps, n, step) == seed_certified(comps, n, step)
+
+
+class TestBitset:
+    """verify._bitset, the one bitset builder of the certificate (memoised)
+    and the fold (unmemoised, on lists), against the sum of shifts
+    oracles.seed_bitset."""
+
+    def test_every_component_of_every_genuine_system_up_to_64(self):
+        comps = {
+            comp
+            for jof in all_jofs_up_to(64)
+            for system in (build_sum_system(jof), build_centred(jof))
+            for comp in system.components
+        }
+        for comp in comps:
+            assert verify._bitset(comp) == seed_bitset(comp), comp
+            assert verify._bitset.__wrapped__(list(comp)) == seed_bitset(comp), comp
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.one_of(st.integers(-10**6, -1), st.just(0), st.integers(1, 10**6)),
+        st.lists(st.integers(1, 100), max_size=30),
+    )
+    def test_drawn_ascending_tuples(self, first, gaps):
+        comp = (first, *(first + sum(gaps[:i + 1]) for i in range(len(gaps))))
+        assert verify._bitset(comp) == seed_bitset(comp)
+        assert verify._bitset.__wrapped__(list(comp)) == seed_bitset(comp)
 
 
 def off_the_route(*args):
@@ -574,7 +608,7 @@ class TestOneDeciderPerSize:
         cases, fold_alone = small_systems
         edge = [build_sum_system(((1, 32), (2, 32))), distinct_until_last(10)]
         edge_verdicts = [(verify_sum_system(p), verify_centred(centre(p))) for p in edge]
-        monkeypatch.setattr(systems, "_read_jof", no_read)
+        patch_read(monkeypatch, no_read)
         assert [(verify_sum_system(p), verify_centred(c)) for p, c in cases] == fold_alone
         assert [p.N for p in edge] == [systems._NARROW] * 2
         assert [(verify_sum_system(p), verify_centred(centre(p))) for p in edge] == edge_verdicts
@@ -588,9 +622,9 @@ class TestOneDeciderPerSize:
         centred = centre(plain)
         assert plain.N > systems._NARROW
         reads = counting_reads(monkeypatch)
-        monkeypatch.setattr(systems, "_fold", no_fold)
-        monkeypatch.setattr(systems, "_symmetric", off_the_route)
-        monkeypatch.setattr(systems, "_certified", off_the_route)
+        monkeypatch.setattr(verify, "_fold", no_fold)
+        monkeypatch.setattr(verify, "_symmetric", off_the_route)
+        monkeypatch.setattr(verify, "_certified", off_the_route)
         assert verify_sum_system(plain) == (True, None)
         assert len(reads) == 1
         assert verify_centred(centred) == (True, None)
@@ -623,7 +657,7 @@ def as_the_seed_paths(plain):
     """Whether centre and the certificate, plain and doubled, give the seed
     paths' results on this system; centre must raise where the seed does."""
     n = plain.N
-    if systems._certified(plain.components, n, 1) != seed_certified(plain.components, n, 1):
+    if verify._certified(plain.components, n, 1) != seed_certified(plain.components, n, 1):
         return False
     try:
         want = seed_centre(plain)
@@ -633,14 +667,14 @@ def as_the_seed_paths(plain):
         return True
     got = centre(plain)
     return got == want and (
-        systems._certified(got.components, n, 2) == seed_certified(got.components, n, 2)
+        verify._certified(got.components, n, 2) == seed_certified(got.components, n, 2)
     )
 
 
 class TestComponentMemos:
     """centre and the certificate take each component's doubled form and
     bitset from the memos systems._centred_component and
-    systems._bits_from_start, whatever system put it there."""
+    verify._bitset, whatever system put it there."""
 
     @pytest.mark.parametrize("genuine_first", [True, False], ids=["genuine", "corrupted"])
     def test_seeded_corruptions_cold_then_warm(self, genuine_first):
@@ -654,7 +688,7 @@ class TestComponentMemos:
             genuine = build_sum_system(jof).components
             corrupted = list(corruptions(jof, rng))
             cases += [genuine, *corrupted] if genuine_first else [*corrupted, genuine]
-        memos = (systems._centred_component, systems._bits_from_start)
+        memos = (systems._centred_component, verify._bitset)
         for memo in memos:
             memo.cache_clear()
         for _ in ("cold", "warm"):

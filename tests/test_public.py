@@ -71,9 +71,19 @@ def test_each_name_is_its_home_modules_object():
 
 def test_submodules_resolve_after_a_bare_import():
     names = fresh("print(*(getattr(sumsystems, m).__name__ for m in"
-                  " ('arith', 'counting', 'invariants', 'jof', 'shape', 'systems')))").split()
+                  " ('arith', 'counting', 'invariants', 'jof', 'shape', 'systems', 'verify')))").split()
     assert names == ["sumsystems.arith", "sumsystems.counting", "sumsystems.invariants",
-                     "sumsystems.jof", "sumsystems.shape", "sumsystems.systems"]
+                     "sumsystems.jof", "sumsystems.shape", "sumsystems.systems",
+                     "sumsystems.verify"]
+
+
+def test_systems_binds_no_verification_name():
+    # verification lives in verify, which imports systems, never the reverse
+    from sumsystems import systems
+
+    moved = {"_certified", "_bits_from_start", "_fold", "_bitset", "_members", "_DENSE",
+             "_BUDGET", "_PRICE", "Verdict", "verify_sum_system", "verify_centred"}
+    assert moved.isdisjoint(vars(systems))
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

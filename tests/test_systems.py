@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumsystems import systems
+from sumsystems import systems, verify
 from sumsystems.invariants import sigma_a, tau_c
 from sumsystems.systems import (
     CentredSumSystem,
@@ -22,10 +22,9 @@ from sumsystems.systems import (
     system_from_json,
     system_to_json,
     to_sum_and_distance,
-    verify_centred,
-    verify_sum_system,
 )
 from sumsystems.shape import validate
+from sumsystems.verify import verify_centred, verify_sum_system
 
 from oracles import (
     all_jofs_up_to,
@@ -139,14 +138,14 @@ def test_symmetric_as_the_seed_at_random(comp):
     assert systems._symmetric(tuple(comp)) == seed_symmetric(tuple(comp))
 
 
-MEMOS = (systems._progressions, systems._centred_component, systems._bits_from_start)
+MEMOS = (systems._progressions, systems._centred_component, verify._bitset)
 
 
 def certified_as_the_seed(plain, centred):
     """Whether the certificate of both forms is the seed certificate's."""
     n = plain.N
     return all(
-        systems._certified(comps, n, step) == seed_certified(comps, n, step)
+        verify._certified(comps, n, step) == seed_certified(comps, n, step)
         for comps, step in ((plain.components, 1), (centred.components, 2))
     )
 
