@@ -19,15 +19,19 @@ order, sign, symmetry and parity per component.
 Construction from a joint ordered factorisation follows the factor-by-factor
 blow-up: entry l with partial product F(l) contributes the progression
 F(l) * {0, ..., f_l - 1} to its part's component.  _blow_up is the one
-construction path, for build_sum_system, build_centred (the doubled image
-2a - max A_j of its components, the same map centre applies) and the
-rebuild that accepts a reading (_read_jof).  One pass over the checked JOF
-collects each part's run of (F(l), f_l) entries, and a part's component
-depends on its run alone, so a JOF with N <= _NARROW takes each component
-from a memo keyed by the run, and any other JOF calls the same body
-unmemoised.  A key is made only from a JOF that has passed its check, or
-one read from int components, so it holds ints alone: no bool, float or
-factor 1 reaches the memo.  The builders, centre and
+construction path, in either storage: plain (step 1) for build_sum_system,
+doubled (step 2) for build_centred, which builds the doubled image
+2a - max A_j in one pass, each part's first progression starting at -max
+and stepping by 2F(l).  The same path gives the rebuild that accepts a
+reading: _read_jof reads plain and doubled components alike, measuring gaps
+from each component's first value, so a centred system is read and rebuilt
+in its own storage.  One pass over the checked JOF collects each part's run
+of (F(l), f_l) entries, and a part's component depends on its run and the
+storage alone, so a JOF with N <= _NARROW takes each component from a memo
+keyed by both, and any other JOF calls the same body unmemoised.  A key is
+made only from a JOF that has passed its check, or one read from int
+components, so it holds ints alone: no bool, float or factor 1 reaches the
+memo.  The builders, centre and
 to_sum_and_distance are trusted: their output is correct by construction, so
 they create it with tuple.__new__, skipping the checks of the public
 constructors (centre keeps one, since its input may be any valid SumSystem).
@@ -71,8 +75,9 @@ def _check_sorted_strict(comp: tuple[int, ...]) -> None:
 
 def _symmetric(comp: tuple[int, ...]) -> bool:
     """Whether comp, ascending, is symmetric about 0: its own negated
-    reverse, so each value and its mirror sum to 0."""
-    return not any(map(add, comp, reversed(comp)))
+    reverse, so each value and its mirror sum to 0.  Each mirror pair is
+    visited once: the first ceil(len/2) values against the reversed tail."""
+    return not any(map(add, comp[:(len(comp) + 1) // 2], reversed(comp)))
 
 
 @classmethod
@@ -131,8 +136,10 @@ class CentredSumSystem(namedtuple("CentredSumSystem", "components"), _Components
             _check_sorted_strict(comp)
             if not _symmetric(comp):
                 raise ValueError("centred components must be symmetric about 0")
-            # v & 1 is 1 for odd v, negative ones too: none or all may be odd
-            if sum(map((1).__and__, comp)) not in (0, len(comp)):
+            # v & 1 is 1 for odd v, negative ones too: none or all may be
+            # odd, and v and its mirror -v share parity, so half suffices
+            half = comp[:(len(comp) + 1) // 2]
+            if sum(map((1).__and__, half)) not in (0, len(half)):
                 raise ValueError("values within a centred component must share parity")
         return tuple.__new__(cls, (comps,))
 
@@ -174,17 +181,19 @@ class SumAndDistanceSystem(
         return tuple.__new__(cls, (N, comps, even_parts, odd_parts))
 
 
-def _blow_up(jof, m: int) -> tuple[tuple[int, ...], ...]:
-    """The m components of a checked JOF, each sorted ascending.  One pass
-    collects each part's run of entries as (F(l), f_l, F(l'), f_l', ...);
-    a JOF with N <= _NARROW takes each part's component from the memo
-    _progressions, any other from the same body unmemoised."""
+def _blow_up(jof, m: int, step: int = 1) -> tuple[tuple[int, ...], ...]:
+    """The m components of a checked JOF, each sorted ascending: plain
+    (step 1) or doubled (step 2).  One pass collects each part's run of
+    entries as (F(l), f_l, F(l'), f_l', ...); a JOF with N <= _NARROW takes
+    each part's component from the memo _progressions, any other from the
+    same body unmemoised."""
     runs = [()] * m
     partial = 1
     for part, factor in jof:
         runs[part - 1] += (partial, factor)
         partial *= factor
-    return tuple(map(_progressions if partial <= _NARROW else _progressions.__wrapped__, runs))
+    memo = _progressions if partial <= _NARROW else _progressions.__wrapped__
+    return tuple(map(memo, runs) if step == 1 else map(memo, runs, (step,) * m))
 
 
 def build_sum_system(jof) -> SumSystem:
@@ -195,42 +204,47 @@ def build_sum_system(jof) -> SumSystem:
     return tuple.__new__(SumSystem, (_blow_up(jof, len(products)),))
 
 
-def _read_jof(components) -> Jof | None:
-    """The JOF whose blow-up gives these components (tuples), or None.
+def _read_jof(components, step: int = 1) -> Jof | None:
+    """The JOF whose blow-up gives these components (tuples), plain (step 1)
+    or doubled (step 2), or None.
 
-    With b values of a component read, the next entry of its part has
-    partial product F = comp[b], and its factor f is the first t >= 2 where
-    the component ends at t*b or comp[t*b] != t*F; a genuine component
-    holds t*F there for every t < f.  The entries of all parts, sorted by
-    F, must chain as F(1) = 1, F(l+1) = F(l)*f_l, and the JOF they make must
-    rebuild the components exactly.  No part follows itself: its next entry
-    would have comp[f*b] = F*f, so the read would not stop at f.  Each
-    factor read ends where its part's values do, so the factors of every
-    part multiply to its size and the product of all of them is N.
+    Gaps are measured from each component's first value.  With b values of
+    a component read, the next entry of its part has partial product F,
+    read as step * F = comp[b] - comp[0], and its factor f is the first
+    t >= 2 where the component ends at t*b or comp[t*b] - comp[0] differs
+    from t*step*F; a genuine component holds that gap for every t < f.  The entries of all
+    parts, sorted by F, must chain as F(1) = 1, F(l+1) = F(l)*f_l, and the
+    JOF they make must rebuild the components exactly, which also checks
+    each first value (0, or -max when doubled).  No part follows itself: its
+    next entry would have the gap t*step*F at t = f, so the read would not
+    stop at f.  Each factor read ends where its part's values do, so the
+    factors of every part multiply to its size and the product of all of
+    them is N.
     """
     entries = []
     for part, comp in enumerate(components, start=1):
         size = len(comp)
         if size < 2:
             return None  # every part must appear
+        low = comp[0]
         built = 1
         while built < size:
-            step = comp[built]
+            gap = comp[built] - low
             t = 2
-            while t * built < size and comp[t * built] == t * step:
+            while t * built < size and comp[t * built] - low == t * gap:
                 t += 1
-            entries.append((step, t, part))
+            entries.append((gap, t, part))
             built *= t
         if built != size:
             return None
     entries.sort()
-    partial = 1
-    for step, factor, _ in entries:
-        if step != partial:
+    partial = step
+    for gap, factor, _ in entries:
+        if gap != partial:
             return None
         partial *= factor
     jof = tuple([(part, factor) for _, factor, part in entries])
-    if _blow_up(jof, len(components)) != tuple(components):
+    if _blow_up(jof, len(components), step) != tuple(components):
         return None
     return jof
 
@@ -242,32 +256,11 @@ def _doubled(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([2 * a - top for a in comp])
 
 
-def _undoubled(comp: tuple[int, ...]) -> tuple[int, ...]:
-    """A non-empty doubled component mapped by v -> (v + max) // 2."""
-    top = comp[-1]
-    return tuple([(v + top) >> 1 for v in comp])
-
-
-def _read_centred(components) -> Jof | None:
-    """The JOF whose doubled blow-up gives these components, or None: they
-    are read through their plain image (_undoubled), which doubling must
-    give back, as v -> (v + max) // 2 drops parity and symmetry.  Doubling
-    takes the image u of a value v to 2u - max, which is v or v - 1, so it
-    gives every value back exactly when the totals of both sides agree."""
-    if not (components and all(components)):
-        return None
-    plain = tuple(map(_undoubled, components))
-    tops = sum(map(mul, map(len, components), map(itemgetter(-1), components)))
-    if 2 * sum(map(sum, plain)) - tops != sum(map(sum, components)):
-        return None
-    return _read_jof(plain)
-
-
 def jof_of_system(system) -> Jof:
     """The JOF that build_sum_system or build_centred turns into this
-    system: their inverse.  A centred system is read through its plain
-    image (_undoubled), and the JOF is returned only when it rebuilds the
-    components exactly.
+    system: their inverse.  A centred system is read in its doubled
+    storage, and the JOF is returned only when it rebuilds the components
+    exactly.
 
     Raises ValueError when no JOF builds the system and TypeError when the
     argument is no SumSystem or CentredSumSystem.
@@ -275,7 +268,7 @@ def jof_of_system(system) -> Jof:
     if isinstance(system, SumSystem):
         jof = _read_jof(system.components)  # checks the rebuild itself
     elif isinstance(system, CentredSumSystem):
-        jof = _read_centred(system.components)
+        jof = _read_jof(system.components, 2)
     else:
         raise TypeError(f"not a sum system: {type(system).__name__}")
     if jof is None:
@@ -284,11 +277,11 @@ def jof_of_system(system) -> Jof:
 
 
 def build_centred(jof) -> CentredSumSystem:
-    """Centred system of a JOF: the doubled image of its plain components,
-    equal to centre(build_sum_system(jof)).  A plain component built from
-    a JOF is palindromic, so its image is symmetric about 0."""
+    """Centred system of a JOF, built doubled in one pass: equal to
+    centre(build_sum_system(jof)).  A plain component built from a JOF is
+    palindromic, so its doubled image is symmetric about 0."""
     jof, products = _checked_jof(jof)
-    return tuple.__new__(CentredSumSystem, (tuple(map(_doubled, _blow_up(jof, len(products)))),))
+    return tuple.__new__(CentredSumSystem, (_blow_up(jof, len(products), 2),))
 
 
 # The bound on N of the per-component memos and of verify's certificate: a
@@ -300,11 +293,13 @@ def build_centred(jof) -> CentredSumSystem:
 _NARROW = 1024
 
 # Entries kept by each per-component memo (_progressions,
-# _centred_component, verify._bitset).  Only systems with N <= _NARROW use
-# them: a run holds at most 2 log2(N) ints, each at most N; a component
-# holds at most 1024 ints, each of magnitude below 1024; and a bitset is at
-# most 2N bits wide.  In the worst case, a full memo of distinct entries as
-# large as they come (single-part components of 769 to 1024 values for the
+# _centred_component, verify._bitset).  The keys of _progressions carry the
+# storage too: (run,) for a plain component and (run, 2) for a doubled one.
+# Only systems with N <= _NARROW use them: a run holds at most 2 log2(N)
+# ints, each at most N; a component, plain or doubled, holds at most 1024
+# ints, each of magnitude below 1024; and a bitset is at most 2N bits
+# wide.  In the worst case, a full memo of distinct entries as large as
+# they come (single-part components of 769 to 1024 values for the
 # runs' memo, 512-value components for centre's, 1024-value ones for the
 # certificate's), they traced 6.8, 7.5 and 8.1 MiB on Python 3.11.  Genuine
 # systems share a few small components: after every JOF with N <= 210 the
@@ -318,15 +313,18 @@ _MEMO = 256
 
 
 @lru_cache(maxsize=_MEMO)
-def _progressions(run: tuple[int, ...]) -> tuple[int, ...]:
+def _progressions(run: tuple[int, ...], step: int = 1) -> tuple[int, ...]:
     """The ascending component of a part whose entries have the partial
-    products and factors F, f, F', f', ... of run: its first entry gives
-    the progression F * {0..f - 1}, and each later one (F', f') appends
-    the values built so far, all below F', shifted by F', ..., (f' - 1)F'."""
-    comp = list(range(0, run[0] * run[1], run[0]))
+    products and factors F, f, F', f', ... of run, plain (step 1) or doubled
+    (step 2): its first entry gives the progression from 0, or from -max
+    when doubled, in steps of step * F, f values long, and each later one
+    (F', f') appends the values built so far, all below step * F' past the
+    first, shifted by step * F', ..., (f' - 1) * step * F'."""
+    low = 0 if step == 1 else sum(run[::2]) - sum(map(mul, run[::2], run[1::2]))
+    comp = list(range(low, low + step * run[0] * run[1], step * run[0]))
     for i in range(2, len(run), 2):
-        step = run[i]
-        comp += [a + offset for offset in range(step, step * run[i + 1], step) for a in comp]
+        shift = step * run[i]
+        comp += [a + offset for offset in range(shift, shift * run[i + 1], shift) for a in comp]
     return tuple(comp)
 
 

@@ -7,8 +7,11 @@ egf_convolution_tuple_count, the package's former fixed-tuple count read
 from its factorisation and difference table, and the package's former
 small-system paths seed_blow_up, seed_centre and seed_certified, which
 build the package's value classes and read its _NARROW, its former
-certificate bitset seed_bitset and its former symmetry test
-seed_symmetric, nothing here
+certificate bitset seed_bitset, its former symmetry test seed_symmetric,
+its former constructor checks of a centred component seed_centred_fault,
+its former read of doubled components seed_read_centred, which ends in the
+package's plain read, and its former fold seed_fold, which reads the
+package's fold constants and bitset builder, nothing here
 imports from the package: factorisation is naive trial division,
 convolution scans 1..n or the divisors listed from that factorisation, a
 convolution power squares over the same list, the seed JOF walk takes its
@@ -454,3 +457,70 @@ def seed_certified(components, n: int, step: int) -> bool:
     for comp in components:
         bits *= seed_bitset(comp)
     return bits == ((1 << step * n) - 1) // ((1 << step) - 1)
+
+
+def seed_centred_fault(comp) -> "str | None":
+    """The message the package's former CentredSumSystem checks raise on
+    one component of ints, or None: order, then symmetry, then the parity
+    of every value."""
+    if not comp:
+        return "components must be non-empty"
+    if any(a >= b for a, b in zip(comp, comp[1:])):
+        return "component values must be strictly ascending"
+    if not seed_symmetric(tuple(comp)):
+        return "centred components must be symmetric about 0"
+    if len({v & 1 for v in comp}) > 1:
+        return "values within a centred component must share parity"
+    return None
+
+
+def seed_read_centred(components):
+    """The package's former read of doubled components: each mapped onto
+    its plain image by v -> (v + max) // 2, the totals of both sides
+    compared (doubling gives every value back exactly when they agree),
+    and the image read by the package's plain read."""
+    from sumsystems.systems import _read_jof
+
+    if not (components and all(components)):
+        return None
+    plain = tuple(tuple((v + comp[-1]) >> 1 for v in comp) for comp in components)
+    tops = sum(len(comp) * comp[-1] for comp in components)
+    if 2 * sum(map(sum, plain)) - tops != sum(map(sum, components)):
+        return None
+    return _read_jof(plain)
+
+
+def seed_fold(components, n: int, cover_reason: str) -> tuple[bool, "str | None"]:
+    """The package's former fold: the verifiers' fold with every dense
+    stage a product of bitsets.  It reads verify's _DENSE, _BUDGET, _PRICE,
+    _bitset and _members when called, so it routes and refuses each stage
+    as the package's fold does under any patched constant."""
+    from math import isqrt
+
+    from sumsystems import verify
+
+    if sum(comp[-1] for comp in components) > n - 1:
+        return False, cover_reason
+    acc = 1
+    width = size = 1
+    for j, comp in enumerate(components, start=1):
+        fewer = min(size, len(comp))
+        width += comp[-1]
+        size *= len(comp)
+        dense = width <= verify._DENSE * size
+        if (width > verify._BUDGET and verify._DENSE * size > verify._BUDGET
+                or dense and width * isqrt(fewer) > verify._PRICE):
+            return False, "no JOF builds these components"
+        if dense:
+            if isinstance(acc, set):
+                acc = verify._bitset.__wrapped__(sorted(acc))
+            acc *= verify._bitset.__wrapped__(comp)
+            distinct = acc.bit_count()
+        else:
+            if isinstance(acc, int):
+                acc = verify._members(acc)
+            acc = {x + y for x in acc for y in comp}
+            distinct = len(acc)
+        if distinct != size:
+            return False, f"sums collide when component {j} is added"
+    return True, None

@@ -35,7 +35,10 @@ from sumsystems.systems import (
 )
 from sumsystems.verify import verify_centred, verify_sum_system
 
-from oracles import all_jofs_up_to, seed_bitset, seed_centre, seed_certified, set_fold_verify
+from oracles import (
+    all_jofs_up_to, seed_bitset, seed_centre, seed_certified, seed_fold, seed_read_centred,
+    set_fold_verify,
+)
 
 PLAIN_COVER = "sums do not cover 0..1"
 CENTRED_COVER = "doubled sums do not cover -(N-1)..N-1 in steps of 2"
@@ -68,8 +71,9 @@ def check_against_oracle(system):
 
 
 def patch_read(monkeypatch, read):
-    """Patch the JOF read where the verifiers call it: verify_sum_system
-    directly, verify_centred through systems._read_centred."""
+    """Patch the JOF read where the verifiers call it, with step 1 for
+    verify_sum_system and 2 for verify_centred, and where jof_of_system
+    calls it."""
     for module in (systems, verify):
         monkeypatch.setattr(module, "_read_jof", read)
 
@@ -79,7 +83,7 @@ def by_the_fold_alone(cases):
     certificate and the JOF read both fail, so the fold decides alone."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_certified", lambda *args: False)
-        patch_read(patch, lambda components: None)
+        patch_read(patch, lambda components, step=1: None)
         return [(verify_sum_system(p), verify_centred(c)) for p, c in cases]
 
 
@@ -395,9 +399,9 @@ def counting_reads(monkeypatch):
     reads = []
     read = systems._read_jof
 
-    def counted(components):
+    def counted(components, step=1):
         reads.append(components)
-        return read(components)
+        return read(components, step)
 
     patch_read(monkeypatch, counted)
     return reads
@@ -695,3 +699,189 @@ class TestComponentMemos:
             for comps in cases:
                 assert as_the_seed_paths(SumSystem(comps)), comps
         assert all(memo.cache_info().hits for memo in memos)
+
+
+def doubled(comps):
+    """Each component in doubled storage, 2a - max: symmetric about 0 when
+    the component is palindromic."""
+    return tuple(tuple(2 * a - comp[-1] for a in comp) for comp in comps)
+
+
+def read_as_the_seed(comps):
+    """Whether the doubled read gives the former route's JOF, or both None."""
+    return systems._read_jof(comps, 2) == seed_read_centred(comps)
+
+
+class TestDoubledRead:
+    """systems._read_jof on doubled components (step 2), read and rebuilt in
+    their own storage, against the former route through the plain image,
+    oracles.seed_read_centred."""
+
+    def test_every_small_centred_system_shuffled(self):
+        rng = random.Random(35)
+        for jof in all_jofs_up_to(64):
+            comps = list(build_centred(jof).components)
+            rng.shuffle(comps)
+            assert seed_read_centred(comps) is not None, jof
+            assert read_as_the_seed(tuple(comps)), jof
+
+    def test_large_systems_built_unmemoised(self):
+        # past systems._NARROW the builders and the read take no memo
+        rng = random.Random(20261020)
+        for _ in range(60):
+            jof = seeded_jof(rng, 1 << 11, 1 << 20)
+            centred = build_centred(jof)
+            assert centred.N > systems._NARROW
+            assert centred == centre(build_sum_system(jof)), jof
+            assert systems._read_jof(centred.components, 2) == seed_read_centred(
+                centred.components
+            ) == jof
+            assert jof_of_system(centred) == jof
+
+    def test_every_corruption(self):
+        # the plain corruptions doubled, and each doubled corruption with
+        # one component moved off its parity
+        rng = random.Random(20230321)
+        jofs = list(all_jofs_up_to(64))
+        jofs += [seeded_jof(rng, low, high) for low, high in [(65, 1024), (1025, 1 << 14)] * 50]
+        verdicts = {True: 0, False: 0}
+        for jof in jofs:
+            for comps in corruptions(jof, rng):
+                twice = doubled(comps)
+                j = rng.randrange(len(twice))
+                for case in (twice, twice[:j] + (tuple(v + 1 for v in twice[j]),) + twice[j + 1:]):
+                    assert read_as_the_seed(case), case
+                    verdicts[systems._read_jof(case, 2) is not None] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(shuffled_systems())
+def test_doubled_read_of_shuffled_systems_as_the_seed(comps):
+    assert read_as_the_seed(doubled(comps))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_candidates())
+def test_doubled_read_of_small_candidates_as_the_seed(candidate):
+    comps, step = candidate
+    assert read_as_the_seed(comps if step == 2 else doubled(comps))
+
+
+def folds_as_the_seed(monkeypatch):
+    """Patch the verifiers' fold with one that asserts the former fold's
+    verdict, oracles.seed_fold, on the same components, plain or
+    undoubled; returns the verdicts compared."""
+    verdicts = []
+    fold = verify._fold
+
+    def compared(components, n, reason):
+        verdicts.append(fold(components, n, reason))
+        assert verdicts[-1] == seed_fold(components, n, reason), components
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_fold", compared)
+    return verdicts
+
+
+def both_verifiers(comps):
+    """Verify these plain components and their doubled forms, unchecked."""
+    verify_sum_system(unchecked(SumSystem, comps))
+    verify_centred(unchecked(CentredSumSystem, doubled(comps)))
+
+
+class BitsetSpy:
+    """Stands in for verify._bitset and records what the fold multiplies."""
+
+    def __init__(self):
+        self.multiplied = []
+        self.build = verify._bitset.__wrapped__
+
+    def __wrapped__(self, values):
+        self.multiplied.append(values)
+        return self.build(values)
+
+
+@st.composite
+def sparse_wide_folds(draw):
+    """Fold components ascending from 0: a dense blow-up of N0 values, then
+    a palindromic component of 2 to 8 values up to 2^18 wide, its values
+    drawn freely or as multiples of N0 (so its stage may pass), and a last
+    run 0..L-1 long enough that the maxima sum below N."""
+    m = draw(st.integers(1, 3))
+    entries = [(part, draw(st.integers(2, 8))) for part in range(1, m + 1)]
+    for part, factor in draw(st.lists(st.tuples(st.integers(1, m), st.integers(2, 8)))):
+        if prod(f for _, f in entries) * factor <= 1 << 12:
+            entries.append((part, factor))
+    prefix = blow_up(draw(st.permutations(entries)), m)
+    n0 = prod(map(len, prefix))
+    count = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from((1, n0)))
+    top = scale * draw(st.integers(count, max(count, min(1 << 18, 64 * n0 * count) // scale)))
+    inner = set()
+    if top > scale:
+        inner = draw(st.sets(st.integers(1, top // scale - 1), max_size=(count - 2) // 2))
+    wide = sorted({0, top} | {scale * v for v in inner} | {top - scale * v for v in inner})
+    tops = sum(comp[-1] for comp in prefix) + top
+    last = tops // (n0 * len(wide) - 1) + 2
+    return (*prefix, tuple(wide), tuple(range(last)))
+
+
+class TestShiftedStage:
+    """A dense fold stage with a sparse component, c values with
+    c^2 < max / 32, adds the running bitset shifted by each value instead
+    of multiplying: the verdicts must be those of the former fold,
+    oracles.seed_fold, which always multiplies."""
+
+    def test_sparse_wide_stage_is_shifted(self, monkeypatch):
+        spy = BitsetSpy()
+        monkeypatch.setattr(verify, "_bitset", spy)
+        comps = (tuple(range(1024)), (0, 1 << 16), tuple(range(130)))
+        want = (False, "sums collide when component 3 is added")
+        assert verify._fold(comps, 1024 * 2 * 130, "cover") == want
+        assert spy.multiplied == [comps[0], comps[2]]
+        monkeypatch.undo()
+        assert seed_fold(comps, 1024 * 2 * 130, "cover") == want
+
+    def test_every_corruption(self, monkeypatch):
+        verdicts = folds_as_the_seed(monkeypatch)
+        rng = random.Random(20261020)
+        jofs = list(all_jofs_up_to(64))
+        jofs += [seeded_jof(rng, 1 << 11, 1 << 18) for _ in range(100)]
+        for jof in jofs:
+            for comps in corruptions(jof, rng):
+                both_verifiers(comps)
+        for doc in (WIDE_N_PLAIN, WIDE_N_CENTRED):
+            system = system_from_json(doc)
+            (verify_centred if doc["doubled"] else verify_sum_system)(system)
+        assert {ok for ok, _ in verdicts} == {False}
+        assert len(verdicts) > 1000
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sparse_wide_folds())
+    def test_sparse_wide_components(self, comps):
+        n = prod(map(len, comps))
+        assert verify._fold(comps, n, "cover") == seed_fold(comps, n, "cover")
+        with pytest.MonkeyPatch.context() as patch:
+            verdicts = folds_as_the_seed(patch)
+            patch.setattr(verify, "_certified", lambda *args: False)
+            patch_read(patch, lambda components, step=1: None)
+            both_verifiers(comps)
+        assert len(verdicts) == 2
+
+    @pytest.mark.parametrize(
+        "constant, value", [("_BUDGET", 1 << 12), ("_BUDGET", 1 << 16), ("_PRICE", 1 << 14)]
+    )
+    def test_refused_stages(self, monkeypatch, constant, value):
+        # under a lowered budget or price the same stages are refused
+        monkeypatch.setattr(verify, constant, value)
+        verdicts = folds_as_the_seed(monkeypatch)
+        rng = random.Random(value)
+        for _ in range(60):
+            jof = seeded_jof(rng, 1 << 11, 1 << 16)
+            for comps in corruptions(jof, rng):
+                both_verifiers(comps)
+        for k in (12, 16, 20):
+            both_verifiers(distinct_until_last(k).components)
+        assert (False, UNBUILT) in verdicts
+        assert any(reason != UNBUILT for _, reason in verdicts)

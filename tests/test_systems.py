@@ -31,6 +31,7 @@ from oracles import (
     brute_minkowski,
     seed_blow_up,
     seed_centre,
+    seed_centred_fault,
     seed_certified,
     seed_symmetric,
     set_fold_verify,
@@ -136,6 +137,56 @@ def test_symmetric_as_the_seed_near_symmetric(half, middle, off):
 @given(st.lists(st.integers(-2, 2), max_size=7))
 def test_symmetric_as_the_seed_at_random(comp):
     assert systems._symmetric(tuple(comp)) == seed_symmetric(tuple(comp))
+
+
+def centred_fault(comp):
+    """The message CentredSumSystem raises on this component after a
+    genuine one, or None when it accepts them."""
+    try:
+        CentredSumSystem([(-1, 1), comp])
+    except ValueError as fault:
+        return str(fault)
+    return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    positives=st.sets(st.integers(1, 40), min_size=1, max_size=8),
+    parity=st.sampled_from((0, 1)),
+    off=st.sampled_from((None, 0, -1, "any")),
+    where=st.integers(0, 7),
+    middle=st.sampled_from((None, 0, -3, -1, 1, 3)),
+)
+def test_centred_parity_on_half_as_the_full_check(positives, parity, off, where, middle):
+    """CentredSumSystem checks parity on the first ceil(len/2) values once
+    symmetry holds; its message must be that of the former check over every
+    value, oracles.seed_centred_fault, on symmetric tuples of odd and even
+    length, one mirror pair off parity (the outermost, the innermost, or any),
+    and a middle 0 or an odd middle."""
+    values = sorted(2 * v + parity for v in positives)
+    if off is not None:
+        i = where % len(values) if off == "any" else off
+        values[i] += 1
+    half = sorted(set(values))
+    comp = [-v for v in reversed(half)] + ([] if middle is None else [middle]) + half
+    assert centred_fault(comp) == seed_centred_fault(comp), comp
+
+
+@pytest.mark.parametrize(
+    "comp",
+    [
+        (-3, -1, 0, 1, 3),  # all odd but the middle 0, the last of the first half
+        (-4, -1, 1, 4),  # the innermost pair off parity
+        (-5, -2, 2, 5),  # the outermost pair off parity
+        (-4, -2, 0, 2, 4),
+        (-3, -1, 1, 3),
+        (-2, 1, 2),  # an odd middle: not symmetric
+        (-5, -3, 0, 3, 5),
+        (0,),
+    ],
+)
+def test_centred_parity_on_half_at_the_edges(comp):
+    assert centred_fault(comp) == seed_centred_fault(comp)
 
 
 MEMOS = (systems._progressions, systems._centred_component, verify._bitset)
