@@ -187,10 +187,8 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def mobius(n: int) -> int:
-    pf = factorise(n)
-    if not pf.is_squarefree:
-        return 0
-    return -1 if pf.little_omega % 2 else 1
+    """mu(n) = d_{-1}(n), read from the prime signature."""
+    return _d(-1, factorise(n).signature)
 
 
 def modified_mobius(n: int) -> int:
@@ -199,10 +197,7 @@ def modified_mobius(n: int) -> int:
     Equals (-1)**Omega(n) on square-free n > 1 and 0 elsewhere, including
     n = 1.
     """
-    pf = factorise(n)
-    if pf.n == 1 or not pf.is_squarefree:
-        return 0
-    return -1 if pf.big_omega % 2 else 1
+    return mobius(n) - (n == 1)
 
 
 def _d(k: int, signature: tuple[int, ...]) -> int:

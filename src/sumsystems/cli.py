@@ -90,11 +90,13 @@ def _cmd_count(args) -> int:
 # "jofs", "text"}, written here piece by piece in the same bytes, without
 # the document's lists: the indented encoder is pure Python.  The JOF walk
 # hands over one chunk of jof._CHUNK JOFs at a time; each chunk's "jofs"
-# block is written at once and only its "text" block, one string, is kept
-# until the "jofs" list ends.
+# block is written at once and its "text" block to a temporary file, which
+# is copied out _SPOOL characters at a time once the "jofs" list ends, so
+# memory does not grow with the JOFs.
 # No list is ever empty (1:n_1,...,m:n_m is a JOF of every tuple), so no
 # "[]" case arises.
 _PAIR = "\n      [\n        %d,\n        %d\n      ]"
+_SPOOL = 1 << 16  # 1 << 20 raised the traced peak from 0.8 to 4.4 MiB
 
 
 class _Memo(dict):
@@ -131,21 +133,28 @@ def _cmd_enumerate(args) -> int:
     if args.format == "plain":
         jof._walk(parts, lambda chunk: write("\n".join(map(line, chunk)) + "\n"))
         return 0
+    import tempfile
+
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open a temporary file for the text list: {exc}") from exc
     pair = _Memo(_PAIR.__mod__).__getitem__
-    write('{\n  "tuple": [\n%s\n  ],\n  "count": %d,\n  "jofs": [\n'
-          % (",\n".join(f"    {n}" for n in parts), count))
-    texts = []  # each chunk's "text" block, led by the separator before it
 
     def block(chunk) -> None:
-        lead = ",\n" if texts else ""
+        lead = ",\n" if spool.tell() else ""
         write(lead + ",\n".join(["    [" + ",".join(map(pair, found)) + "\n    ]"
                                   for found in chunk]))
-        texts.append(lead + ",\n".join(['    "' + line(found) + '"' for found in chunk]))
+        spool.write(lead + ",\n".join(['    "' + line(found) + '"' for found in chunk]))
 
-    jof._walk(parts, block)
-    write('\n  ],\n  "text": [\n')
-    for lines in texts:
-        write(lines)
+    with spool:
+        write('{\n  "tuple": [\n%s\n  ],\n  "count": %d,\n  "jofs": [\n'
+              % (",\n".join(f"    {n}" for n in parts), count))
+        jof._walk(parts, block)
+        write('\n  ],\n  "text": [\n')
+        spool.seek(0)
+        while lines := spool.read(_SPOOL):
+            write(lines)
     write("\n  ]\n}\n")
     return 0
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import prod
 from operator import add, itemgetter, lt, mul, neg
 
@@ -193,7 +193,7 @@ def _blow_up(jof, m: int, step: int = 1) -> tuple[tuple[int, ...], ...]:
         runs[part - 1] += (partial, factor)
         partial *= factor
     memo = _progressions if partial <= _NARROW else _progressions.__wrapped__
-    return tuple(map(memo, runs) if step == 1 else map(memo, runs, (step,) * m))
+    return tuple(map(memo, runs, repeat(step)))
 
 
 def build_sum_system(jof) -> SumSystem:
@@ -209,17 +209,16 @@ def _read_jof(components, step: int = 1) -> Jof | None:
     or doubled (step 2), or None.
 
     Gaps are measured from each component's first value.  With b values of
-    a component read, the next entry of its part has partial product F,
-    read as step * F = comp[b] - comp[0], and its factor f is the first
-    t >= 2 where the component ends at t*b or comp[t*b] - comp[0] differs
-    from t*step*F; a genuine component holds that gap for every t < f.  The entries of all
-    parts, sorted by F, must chain as F(1) = 1, F(l+1) = F(l)*f_l, and the
-    JOF they make must rebuild the components exactly, which also checks
-    each first value (0, or -max when doubled).  No part follows itself: its
-    next entry would have the gap t*step*F at t = f, so the read would not
-    stop at f.  Each factor read ends where its part's values do, so the
-    factors of every part multiply to its size and the product of all of
-    them is N.
+    a component read, the next entry of its part is read with the gap
+    comp[b] - comp[0], and its factor f is the first t >= 2 where the
+    component ends at t*b or comp[t*b] - comp[0] differs from t times that
+    gap; a genuine component holds that gap for every t < f.  The entries
+    of all parts, sorted by gap, make the JOF, and it is returned only when
+    its blow-up rebuilds the components exactly: that one test checks every
+    gap against step times its partial product, every part's size and each
+    first value (0, or -max when doubled).  No part follows itself: its next
+    entry's gap would be f times this one's, so the read would not stop at
+    f.
     """
     entries = []
     for part, comp in enumerate(components, start=1):
@@ -235,14 +234,7 @@ def _read_jof(components, step: int = 1) -> Jof | None:
                 t += 1
             entries.append((gap, t, part))
             built *= t
-        if built != size:
-            return None
     entries.sort()
-    partial = step
-    for gap, factor, _ in entries:
-        if gap != partial:
-            return None
-        partial *= factor
     jof = tuple([(part, factor) for _, factor, part in entries])
     if _blow_up(jof, len(components), step) != tuple(components):
         return None
@@ -294,7 +286,7 @@ _NARROW = 1024
 
 # Entries kept by each per-component memo (_progressions,
 # _centred_component, verify._bitset).  The keys of _progressions carry the
-# storage too: (run,) for a plain component and (run, 2) for a doubled one.
+# storage too: (run, 1) for a plain component and (run, 2) for a doubled one.
 # Only systems with N <= _NARROW use them: a run holds at most 2 log2(N)
 # ints, each at most N; a component, plain or doubled, holds at most 1024
 # ints, each of magnitude below 1024; and a bitset is at most 2N bits
@@ -313,7 +305,7 @@ _MEMO = 256
 
 
 @lru_cache(maxsize=_MEMO)
-def _progressions(run: tuple[int, ...], step: int = 1) -> tuple[int, ...]:
+def _progressions(run: tuple[int, ...], step: int) -> tuple[int, ...]:
     """The ascending component of a part whose entries have the partial
     products and factors F, f, F', f', ... of run, plain (step 1) or doubled
     (step 2): its first entry gives the progression from 0, or from -max

@@ -206,6 +206,32 @@ class TestMobius:
         assert modified_mobius(6) == 1
         assert modified_mobius(4) == 0
 
+    # n built from primes past trial division, so factorise splits them by
+    # Miller-Rabin and rho; 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657
+    @pytest.mark.parametrize(
+        "n, mu",
+        [
+            (2_147_483_647, -1),
+            (2_147_483_647 * 2_147_483_629, 1),
+            (1_000_000_007**2, 0),
+            (1_000_003 * 999_983 * 1_000_033, -1),
+            (2 * 1_000_003 * 999_983 * 1_000_033, 1),
+            (2**62, 0),
+            (2**63 - 1, 0),
+        ],
+    )
+    def test_past_trial_division(self, n, mu):
+        assert mobius(n) == modified_mobius(n) == mu
+
+    @pytest.mark.parametrize("n", [0, -1, True, 1.0, 2**63])
+    def test_errors_are_factorise_s(self, n):
+        with pytest.raises(ValueError) as expected:
+            factorise.__wrapped__(n)
+        for f in (mobius, modified_mobius):
+            with pytest.raises(ValueError) as got:
+                f(n)
+            assert str(got.value) == str(expected.value)
+
 
 class TestConvolution:
     def test_mu_inverts_one(self):
