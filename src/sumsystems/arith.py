@@ -30,7 +30,7 @@ from . import _Record
 MAX_INPUT = 2**63 - 1
 
 # Trial division stops at this bound.  A cofactor left over has no prime
-# factor below it and is split by Miller-Rabin and Pollard-Brent rho.
+# factor below it and is split by Miller-Rabin and Pollard's rho.
 _TRIAL = 1 << 10
 
 # The first 12 primes as Miller-Rabin bases decide primality for every
@@ -52,15 +52,6 @@ class PrimeFactorisation(namedtuple("PrimeFactorisation", "n factors"), _Record)
     def big_omega(self) -> int:
         """Number of prime factors counted with multiplicity."""
         return sum(e for _, e in self.factors)
-
-    @property
-    def little_omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
 
     @cached_property
     def signature(self) -> tuple[int, ...]:
@@ -131,30 +122,17 @@ def _is_prime(n: int) -> bool:
 
 
 def _rho(n: int) -> int:
-    """A proper factor of the odd composite n, by Brent's variant of
-    Pollard's rho: x -> x^2 + c mod n for c = 1, 2, ... until one splits n,
-    the differences multiplied in batches of 128 between gcds."""
+    """A proper factor of the odd composite n, by Pollard's rho with Floyd's
+    cycle finding: x -> x^2 + c mod n from 2, the hare two steps per step
+    and one gcd per step, for c = 1, 2, ... until one splits n."""
     for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            # the batch's product hit 0 mod n: redo it one gcd a step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 

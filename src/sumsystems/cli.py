@@ -3,7 +3,8 @@
 Subcommands: count, enumerate, build, verify, table, divisor-fn, check.
 Results go to stdout as a single JSON document (CSV for table, bare values
 with --format plain); diagnostics go to stderr.  Exit codes: 0 success or
-verified, 1 verification failure, 2 usage error, 3 enumeration cap hit.
+verified, 1 verification failure, 2 usage error or an output that cannot be
+written, 3 enumeration cap hit.
 A command reports a usage error by raising ValueError, which `run` prints
 as "error: ..." (exit 2); `enumerate` reports its cap itself (exit 3).
 Each command imports only the modules it runs, and those import only what
@@ -365,6 +366,13 @@ def main() -> None:
         # the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
+    except OSError as exc:
+        # the output could not be written (a full disk, `> /dev/full`, or
+        # enumerate's temporary file): a usage error, stdout to devnull as
+        # above
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
     sys.exit(code)
 
 

@@ -68,10 +68,9 @@ def _m_m(signature: tuple[int, ...], m: int, shift: int) -> int:
     prime signature.  Shift 0 counts the m-part sum systems for n up to the
     order of their parts; as d_k * 1 = d_(k+1) and d_k * mu = d_(k-1), shift
     1 and -1 sum that count over d | n, plain and weighted by mu(n/d).
+    The sum is empty, so 0, for m > Omega.
     """
     omega = sum(signature)
-    if m > omega:
-        return 0
     rows, series = _stirling_table(omega), _difference_table(signature)[shift + 1]
     return sum(rows[length][m] * series[length] for length in range(m, omega + 1))
 

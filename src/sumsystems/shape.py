@@ -128,8 +128,7 @@ def parse_jof_text(text: str) -> Jof:
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: arrays nested too deep for the decoder
             raise ValueError(f"bad JOF JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise ValueError("JOF JSON must be an array of [part, factor] pairs")
+        # text that starts with "[" decodes to a list or not at all
         entries = []
         for item in raw:
             if not (isinstance(item, list) and len(item) == 2):

@@ -170,9 +170,9 @@ def _certified(components, n: int, step: int) -> bool:
     true for exactly the genuine systems (module docstring).  Each
     component is shifted only past its guards: its size, its start, and
     sum of (max - min) so far <= step * (n - 1), so no bitset is wider
-    than step * n bits."""
-    if not components:
-        return False
+    than step * n bits.  No components (made only past the constructors)
+    give the empty product 1, the N = 1 pattern: accepted, as the fold
+    accepts them."""
     room, bits = step * (n - 1), 1
     for comp in components:
         if len(comp) < 2:

@@ -147,6 +147,16 @@ class TestFactorise:
         got = [tuple(map(tuple, factors)) for factors in json.loads(proc.stdout)]
         assert got == list(self.FROZEN.values())
 
+    def test_products_of_two_primes_past_trial_division(self):
+        # rho from x = 2 with c = 1 closes both prime factors' cycles at the
+        # same step on 26 of these products, 1031 * 1223 among them, so
+        # their split needs the next c
+        primes = [p for p in range(1031, 1400) if naive_factorise(p) == ((p, 1),)]
+        for i, p in enumerate(primes):
+            for q in primes[i:]:
+                for n in (p * q, (p * q) ** 2):
+                    assert factorise.__wrapped__(n).factors == naive_factorise(n), n
+
     @pytest.mark.parametrize(
         "n, prime",
         [

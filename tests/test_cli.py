@@ -841,6 +841,46 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stderr == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "12"],
+        ["enumerate", "--tuple", "36,36,12"],
+        ["enumerate", "--tuple", "36,36,12", "--format", "plain"],
+    ])
+    def test_output_that_cannot_be_written(self, argv):
+        # every write to /dev/full fails with ENOSPC: at the final flush for
+        # `count`, mid-stream for `enumerate`
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([*SUMSYS, *argv], stdout=full, stderr=subprocess.PIPE,
+                                  env=subprocess_env(), timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_spool_write_failure_is_a_usage_error(self):
+        # enumerate's temporary file opens, then its first write fails
+        code = ("import tempfile\n"
+                "from sumsystems import cli\n"
+                "opened = tempfile.TemporaryFile\n"
+                "class Full:\n"
+                "    def __init__(self, *args, **kwargs):\n"
+                "        self.file = opened(*args, **kwargs)\n"
+                "    def __getattr__(self, name):\n"
+                "        return getattr(self.file, name)\n"
+                "    def __enter__(self):\n"
+                "        return self\n"
+                "    def __exit__(self, *exc):\n"
+                "        self.file.close()\n"
+                "    def write(self, text):\n"
+                "        raise OSError(28, 'No space left on device')\n"
+                "tempfile.TemporaryFile = Full\n"
+                "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", code, "enumerate", "--tuple", "2,2"],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"
+
     def test_import_loads_no_introspection_modules(self):
         # every `sumsys` run pays for what importing the CLI loads; -S keeps
         # the imports of a host's site module from hiding a regression

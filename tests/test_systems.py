@@ -632,3 +632,14 @@ class TestJson:
                     system_from_json(doc)
         with pytest.raises(ValueError):
             system_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize("n", ["12", True, 12.0, None])
+    def test_n_must_be_an_int(self, n):
+        doc = system_to_json(build_sum_system(JOF_A))
+        doc["N"] = n
+        with pytest.raises(ValueError, match="^N must be an integer$"):
+            system_from_json(doc)
+
+    def test_only_systems_serialise(self):
+        with pytest.raises(TypeError, match="^cannot serialise list$"):
+            system_to_json([list(c) for c in SYSTEM_A])
