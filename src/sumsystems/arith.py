@@ -59,14 +59,13 @@ class PrimeFactorisation(namedtuple("PrimeFactorisation", "n factors"), _Record)
         return tuple(sorted((e for _, e in self.factors), reverse=True))
 
 
-def _check_positive(n: int) -> int:
+def _check_positive(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"expected a positive integer, got {n!r}")
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     if n > MAX_INPUT:
         raise ValueError(f"input {n} exceeds the 2**63 - 1 cap")
-    return n
 
 
 def _check_index(value: int, least: int | None, name: str) -> None:

@@ -35,7 +35,10 @@ _BATCH = 4096  # encoder chunks per write
 
 def _emit(doc: dict, fmt: str, plain_lines) -> None:
     """Write plain_lines, or doc as json.dumps(doc, indent=2) would, a batch
-    of encoder chunks at a time rather than as one string."""
+    of encoder chunks at a time rather than as one string.  plain_lines is
+    read only for --format plain, so callers pass it lazily (a map or a
+    generator): a JSON run formats each value once, in the encoder, where
+    a value of 10^5 digits takes as long to format as to compute."""
     if fmt == "plain":
         for line in plain_lines:
             print(line)
@@ -67,7 +70,7 @@ def _cmd_count(args) -> int:
         _emit(
             {"tuple": list(parts), "count": result, "method": "closed-form"},
             args.format,
-            [str(result)],
+            map(str, [result]),
         )
         return 0
     from .arith import big_omega
@@ -76,13 +79,13 @@ def _cmd_count(args) -> int:
     shown = "unordered" if args.unordered else "count"
     if args.m is not None:
         doc = {"N": n, **_count_row(n, args.m, args.unordered), "method": "closed-form"}
-        plain = [str(doc[shown])]
+        plain = map(str, [doc[shown]])
     else:
         # every m that can be non-zero
         rows = [_count_row(n, m, args.unordered)
                 for m in range(1, max(1, big_omega(n)) + 1)]
         doc = {"N": n, "counts": rows, "method": "closed-form"}
-        plain = [f"{row['m']} {row[shown]}" for row in rows]
+        plain = (f"{row['m']} {row[shown]}" for row in rows)
     _emit(doc, args.format, plain)
     return 0
 
@@ -193,6 +196,7 @@ def _doc_int(text: str) -> int:
 def _cmd_verify(args) -> int:
     from . import systems, verify
 
+    system = None
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             doc = json.load(handle, parse_int=_doc_int)
@@ -200,13 +204,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"cannot read {args.file}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         ok, reason = False, f"not valid JSON: {exc}"
-        system = None
     else:
         try:
             system = systems.system_from_json(doc)
         except ValueError as exc:
             ok, reason = False, str(exc)
-            system = None
         else:
             if isinstance(system, systems.CentredSumSystem):
                 ok, reason = verify.verify_centred(system)
@@ -252,7 +254,7 @@ def _cmd_divisor_fn(args) -> int:
         "n": args.n,
         "value": value,
     }
-    _emit(doc, args.format, [str(value)])
+    _emit(doc, args.format, map(str, [value]))
     return 0
 
 
@@ -346,7 +348,7 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: a usage error, or --help
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -359,20 +361,18 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): the output stops there,
-        # with exit 0 whatever the command, as a write may fail before or
-        # after the command's own code is known.  stdout goes to devnull so
-        # the interpreter's final flush cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
     except OSError as exc:
-        # the output could not be written (a full disk, `> /dev/full`, or
-        # enumerate's temporary file): a usage error, stdout to devnull as
-        # above
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        # a BrokenPipeError: the reader closed stdout early (`| head`), so
+        # the output stops there, with exit 0 whatever the command, as a
+        # write may fail before or after the command's own code is known.
+        # Any other: the output could not be written (a full disk,
+        # `> /dev/full`, or enumerate's temporary file), a usage error.
+        # stdout goes to devnull so the interpreter's final flush cannot
+        # raise again.
+        code = 0 if isinstance(exc, BrokenPipeError) else 2
+        if code:
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 2
     sys.exit(code)
 
 

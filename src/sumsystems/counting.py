@@ -223,10 +223,9 @@ def two_dim_fixed_tuple(n: int) -> CountResult:
 def brute_force_count(n: int, m: int, cap: int = 10**6) -> CountResult:
     """Count m-part systems for n by enumerating every JOF of every ordered
     tuple.  The independent oracle for count_m_part; cap is the JOF cap per
-    tuple, shape.DEFAULT_CAP by default.
+    tuple, shape.DEFAULT_CAP by default.  ordered_factorisations checks n
+    and m before any tuple is walked.
     """
-    _check_positive(n)
-    _check_index(m, 1, "m")
     from .jof import _counted, _walk, ordered_factorisations  # the only use of jof here
 
     total = 0

@@ -738,6 +738,51 @@ class TestHugeValues:
             assert json.loads(proc.stdout)[key] == expected
 
 
+class _NoStr(int):
+    """An int whose str() fails.  The JSON encoder writes an int by
+    int.__repr__, so only a --format plain line calls str()."""
+
+    def __str__(self):
+        raise AssertionError("a plain line was formatted")
+
+
+class TestJsonFormatsOnce:
+    """A JSON run formats each value once, in the encoder, and never the
+    --format plain lines it does not write."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        # 4,875 digits
+        (["count", "--tuple", ",".join([str(2**62)] * 30)],
+         {"tuple": [2**62] * 30, "method": "closed-form",
+          "count": math.factorial(62 * 30) // math.factorial(62) ** 30}),
+        (["divisor-fn", "--kind", "d", "--j", str(10**80), "--n", str(2**62)],
+         {"kind": "d", "j": 10**80, "r": None, "n": 2**62, "value": math.comb(10**80 + 61, 62)}),
+        (["count", "--n", "12", "--m", "2"],
+         {"N": 12, "m": 2, "count": 14, "method": "closed-form"}),
+        (["count", "--n", "12"],
+         {"N": 12, "method": "closed-form",
+          "counts": [{"m": 1, "count": 1}, {"m": 2, "count": 14}, {"m": 3, "count": 18}]}),
+    ], ids=["count-tuple", "divisor-fn", "count-n-m", "count-n"])
+    def test_no_plain_line_in_json(self, capsys, monkeypatch, exact_digits, argv, expected):
+        from sumsystems import arith, counting, jof
+
+        def unprintable(f):
+            return lambda *args: _NoStr(f(*args))
+
+        monkeypatch.setattr(jof, "count_for_tuple", unprintable(jof.count_for_tuple))
+        monkeypatch.setattr(arith, "classical_divisor", unprintable(arith.classical_divisor))
+        count = counting.count_m_part
+
+        def counted(n, m):
+            result = count(n, m)
+            return result._replace(value=_NoStr(result.value))
+
+        monkeypatch.setattr(counting, "count_m_part", counted)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+
 class TestLongTuples:
     """`count --tuple` takes time about linear in its number of parts."""
 

@@ -12,13 +12,22 @@ that point; `main` exits 0 in that case.
 The classes that cannot pass yet are explicit xfails with their reasons,
 and run in a forked copy of this process that is killed at the budget, so
 each costs at most the budget.
+
+The memory classes bound memory as well: each example is read to the end
+of its output, in a forked copy of this process whose address space may
+grow by at most its class's bound (RLIMIT_AS, as tests/test_cli.py's
+limit_memory sets it), so memory that follows the output, the document or
+the values rather than the work ends in a MemoryError.
 """
 
 import contextlib
 import functools
 import io
 import json
+import math
 import multiprocessing
+import os
+import resource
 import time
 from math import prod
 
@@ -26,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from sumsystems.cli import run
-from sumsystems.jof import enumerate_jofs
+from sumsystems.jof import count_for_tuple, enumerate_jofs
 from sumsystems.shape import jof_to_text
 from sumsystems.systems import build_sum_system, centre, system_to_json, to_sum_and_distance
 
@@ -70,12 +79,13 @@ class OverBudget(AssertionError):
 class _Sink:
     """A stdout that counts what it is given and keeps none of it."""
 
-    def __init__(self) -> None:
+    def __init__(self, stop_after) -> None:
         self.size = 0
+        self.stop_after = stop_after
 
     def write(self, text: str) -> int:
         self.size += len(text)
-        if self.size > STOP_AFTER:
+        if self.size > self.stop_after:
             raise _ReaderStops
         return len(text)
 
@@ -83,9 +93,10 @@ class _Sink:
         pass
 
 
-def check(argv, path) -> None:
+def check(argv, path, stop_after=STOP_AFTER) -> None:
     """Run argv in process, a bytes element standing for a `verify` file
-    written to path, and assert the gate's three conditions."""
+    written to path, its output read up to stop_after characters, and
+    assert the gate's three conditions."""
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, bytes):
@@ -93,7 +104,7 @@ def check(argv, path) -> None:
             argv[i] = str(path)
     err = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(_Sink()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(_Sink(stop_after)), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
         except _ReaderStops:
@@ -104,11 +115,22 @@ def check(argv, path) -> None:
     assert seconds <= BUDGET_S, f"{seconds:.2f} s"
 
 
+def _bounded(argv, path, bound: int) -> None:
+    """check(argv) read to the end of its output, with this process's
+    address space held to bound bytes past its size now."""
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (size + bound, hard))
+    check(argv, path, stop_after=math.inf)
+
+
 @functools.lru_cache(maxsize=None)  # Hypothesis replays a failing example once more
-def _child_exit_code(argv: tuple, path) -> int | None:
+def _child_exit_code(argv: tuple, path, bound=None) -> int | None:
     # fork, not spawn: the child starts with everything loaded, so the kill
     # time is the budget; the test process runs no other thread
-    child = multiprocessing.get_context("fork").Process(target=check, args=(argv, path))
+    target, args = (check, (argv, path)) if bound is None else (_bounded, (argv, path, bound))
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
     child.start()
     child.join(BUDGET_S + 1.0)  # the rest covers the fork
     if child.exitcode is None:
@@ -118,12 +140,14 @@ def _child_exit_code(argv: tuple, path) -> int | None:
     return child.exitcode
 
 
-def check_in_child(argv, path) -> None:
-    """check(argv) in a forked copy of this process, killed past the budget."""
-    code = _child_exit_code(tuple(argv), path)
+def check_in_child(argv, path, bound=None) -> None:
+    """check(argv) in a forked copy of this process, killed past the budget;
+    with a bound, read to the end and its memory bounded (_bounded)."""
+    code = _child_exit_code(tuple(argv), path, bound)
     if code is None:
         raise OverBudget(f"still running after {BUDGET_S} s")
-    assert code == 0, "the gate failed in the child"
+    assert code == 0, "the gate failed in the child" + (
+        "" if bound is None else f", or it needed more than {bound >> 20} MiB")
 
 
 def csv(values) -> str:
@@ -338,6 +362,86 @@ DEEP_WALK = st.integers(50, 120).map(
 )
 
 
+# Memory classes: each runs to the end of its output, and the bound is on
+# the growth of the child's address space past the fork.  Memory the fork
+# inherits free is reused first, so growth reads low, and a regression
+# shows once it outgrows that slack and the bound.  The largest growth
+# measured on Python 3.11 (2 shared CPUs; no other CI Python was at hand),
+# forked from a process that had imported this module, is beside each
+# bound, which sits between it and the regression it must catch.
+# enumerate of up to WHOLE_JOFS JOFs: 0 MiB in either format (the traced
+# peak is 0.8-1.2 MiB on Pythons 3.10-3.13); holding the 63,000 JOFs of
+# 2,49,3,35,98 until the walk ends grew it by 7 MiB, which a fork of the
+# whole suite absorbs, and the whole document by 173 MiB.
+WHOLE_JOFS = 10**5
+ENUMERATE_BOUND = 4 << 20
+# build of up to the cap of 10**6 values: 46.3 MiB at 1:1000000, in each
+# form (the system and its JSON lists); writing the document as one string
+# peaked at 127 MiB traced.
+BUILD_BOUND = 64 << 20
+# verify of sparse wide documents: 27.1 MiB when a sparse stage reaches
+# _BUDGET, a set of 2^18 sums beside the 2^17 before it; the stage past it
+# (2^19 sums, or as a bitset of 2^24 bits and more) is refused unbuilt.
+VERIFY_BOUND = 40 << 20
+MEMORY = settings(GATE, max_examples=10)
+WHOLE_FORMAT = st.sampled_from(([], ["--format", "json"], ["--format", "plain"]))
+
+
+@st.composite
+def whole_enumerations(draw):
+    """enumerate of a tuple of at most WHOLE_JOFS JOFs, cut short from the
+    end if it has more, under a --limit past the default cap."""
+    parts = draw(st.one_of(
+        st.just([2, 49, 3, 35, 98]), st.lists(st.integers(2, 64), min_size=2, max_size=5)))
+    while count_for_tuple(parts) > WHOLE_JOFS:
+        parts.pop()
+    limit = draw(st.integers(10**6 + 1, 10**12))
+    return ["enumerate", "--tuple", csv(parts), "--limit", str(limit), *draw(WHOLE_FORMAT)]
+
+
+WHOLE_BUILDS = argv_of(
+    st.just(["build", "--jof"]),
+    st.one_of(
+        st.just(["1:1000000"]),
+        st.integers(2, 10**6).map(lambda k: [f"1:{k}"]),
+        st.tuples(st.integers(2, 5 * 10**5), st.integers(2, 5 * 10**5)).map(
+            lambda ab: ["1:%d,2:%d" % ab]),
+    ),
+    st.sampled_from(([], ["--centred"], ["--sum-and-distance"])),
+)
+
+
+@st.composite
+def sparse_wide_documents(draw):
+    """Components {0, c * 2^b} for k distinct b, whose 2^k subset sums are
+    distinct and c apart, then 0..length-1 with c < length, so that the
+    document covers and no JOF builds it.  With c > 64 the fold's stages
+    turn sparse, as sets: k = 18 meets _BUDGET (_DENSE * 2^18 = 2^24 bits)
+    whatever the width, and k = 19 passes it at its last {0, c * 2^b}, which
+    is refused unfolded; the stage of 0..length-1 is refused by its price
+    or collides."""
+    k = draw(st.integers(15, 19))
+    c = draw(st.integers(65, 4096))
+    length = draw(st.integers(c + 1, 2 * c))
+    comps = [[0, c << b] for b in draw(st.permutations(range(k)))] + [list(range(length))]
+    doubled = draw(st.booleans())
+    if doubled:
+        comps = [[2 * v - comp[-1] for v in comp] for comp in comps]
+    doc = {"N": (1 << k) * length, "components": comps, "doubled": doubled}
+    return json.dumps(doc).encode()
+
+
+WIDE_VERIFY = argv_of(
+    st.just(["verify", "--file"]), sparse_wide_documents().map(lambda doc: [doc]), WHOLE_FORMAT)
+
+
+def _memory(strategy, bound):
+    marks = pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                               reason="the bound reads the address space from /proc")
+    return pytest.param(strategy, MEMORY, functools.partial(check_in_child, bound=bound),
+                        marks=marks)
+
+
 def _xfail(strategy, checker, raises, reason):
     # strict=False: a faster machine or Python may finish a huge value in time
     marks = [
@@ -363,6 +467,9 @@ CLASSES = {
                                "thousands of prime powers: one quadratic division and "
                                "a 10^6-digit str()"),
     "deep-walk": (DEEP_WALK, GATE, check),
+    "enumerate-memory": _memory(whole_enumerations(), ENUMERATE_BOUND),
+    "build-memory": _memory(WHOLE_BUILDS, BUILD_BOUND),
+    "verify-memory": _memory(WIDE_VERIFY, VERIFY_BOUND),
 }
 
 
