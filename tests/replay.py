@@ -8,8 +8,9 @@ A TREE is a checkout whose src/ holds the sumsystems package.  Exit status
 fails.  pytest does not collect this file.
 
 argv.  The corpus is every argv that tests/test_cli.py, tests/test_fold.py
-and tests/test_fuzz.py pass to sumsystems.cli.run, recorded by running those
-files under pytest with run wrapped, on this checkout's src/.  --corpus
+and tests/test_fuzz.py pass to sumsystems.cli.run or run as
+`python -m sumsystems.cli` through tests/fresh.py, recorded by running those
+files under pytest with both wrapped, on this checkout's src/.  --corpus
 replays a JSON file {"argv": [...], "files": {KEY: base64 bytes}} instead,
 where a {"file": KEY} token in an argv stands for a file of those bytes.  An
 argv that names a file (the value of --file) keeps the file's bytes as
@@ -47,6 +48,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import fresh
+
 HERE = Path(__file__).resolve().parent
 SOURCES = ("test_cli.py", "test_fold.py", "test_fuzz.py")
 BUDGET_S = 10.0
@@ -60,24 +63,33 @@ _MEMORY_EXIT = 86  # a child's exit status after a MemoryError under RLIMIT_AS
 
 def _record(out: str) -> int:
     """Run the SOURCES under pytest with cli.run wrapped, appending one JSON
-    line per call to out.  Forked test children append as well."""
+    line per call to out, and one per `python -m sumsystems.cli` that they
+    start through tests/fresh.py."""
     import pytest
     from sumsystems import cli
 
-    run = cli.run
+    run, spawn = cli.run, fresh.run
+
+    def record(argv) -> None:
+        argv = list(argv)
+        files = {}
+        for i in range(1, len(argv)):
+            if argv[i - 1] == "--file" and os.path.isfile(argv[i]):
+                files[i] = base64.b64encode(Path(argv[i]).read_bytes()).decode()
+        with open(out, "a", encoding="utf-8") as log:
+            log.write(json.dumps({"argv": argv, "files": files}, default=str) + "\n")
 
     def recorded(argv=None):
         if argv is not None:
-            argv = list(argv)
-            files = {}
-            for i in range(1, len(argv)):
-                if argv[i - 1] == "--file" and os.path.isfile(argv[i]):
-                    files[i] = base64.b64encode(Path(argv[i]).read_bytes()).decode()
-            with open(out, "a", encoding="utf-8") as log:
-                log.write(json.dumps({"argv": argv, "files": files}, default=str) + "\n")
+            record(argv)
         return run(argv)
 
-    cli.run = recorded
+    def spawned(argv, **kwargs):
+        if argv[:len(fresh.SUMSYS)] == fresh.SUMSYS:
+            record(argv[len(fresh.SUMSYS):])
+        return spawn(argv, **kwargs)
+
+    cli.run, fresh.run = recorded, spawned
     return int(pytest.main(["-q", "-rf", "-p", "no:cacheprovider",
                             *(str(HERE / name) for name in SOURCES)]))
 
@@ -304,8 +316,7 @@ def main() -> int:
           f"output cap {OUTPUT >> 20} MiB on each of stdout and stderr")
     script = [sys.executable, str(Path(__file__).resolve())]
     # recording and the cases run this checkout's package, as the tests do
-    own = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(HERE.parent / "src"), os.environ.get("PYTHONPATH"))))}
+    own = fresh.env()
     with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
         tmp = Path(tmp)
         if args.corpus:

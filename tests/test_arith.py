@@ -1,14 +1,11 @@
 """Divisor-function algebra against naive oracles and frozen values."""
 
 import json
-import os
 import random
-import subprocess
 import sys
 import time
 from functools import cache
 from math import comb, gcd
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +25,7 @@ from sumsystems.arith import (
 )
 from sumsystems.counting import stirling2
 
+import fresh
 from oracles import (
     binomial_d_sum,
     count_first_block_nontrivial,
@@ -140,9 +138,7 @@ class TestFactorise:
         # a new process, so that no cached factorisation is reused
         code = ("import json, sys; from sumsystems.arith import factorise; "
                 "print(json.dumps([factorise(n).factors for n in json.loads(sys.argv[1])]))")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(list(self.FROZEN))],
-                              capture_output=True, text=True, env=env, timeout=5)
+        proc = fresh.run([sys.executable, "-c", code, json.dumps(list(self.FROZEN))], timeout=5)
         assert proc.returncode == 0, proc.stderr
         got = [tuple(map(tuple, factors)) for factors in json.loads(proc.stdout)]
         assert got == list(self.FROZEN.values())

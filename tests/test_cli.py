@@ -4,14 +4,12 @@ import json
 import math
 import os
 import random
-import resource
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -20,32 +18,19 @@ from sumsystems.cli import run
 from sumsystems.jof import count_for_tuple
 from sumsystems.shape import parse_jof_text
 
+import fresh
+from fresh import GIB, SUMSYS
 from oracles import binomial_d_sum, oracle_document
 
 WORKED = "1:3,3:3,1:3,3:2,2:5"
 BIG_TUPLE = "2,49,3,35,98"  # 63,000 JOFs, 22.9 MB of JSON
 WORST = 8677099422351360000  # signature (25, 10, 4, 2, 1, 1), Omega 43
-SUMSYS = [sys.executable, "-m", "sumsystems.cli"]
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def subprocess_env():
-    """The environment for running `python -m sumsystems.cli` on this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return env
-
-
-def limit_memory():
-    """1 GiB of address space for a subprocess, so that code which sizes its
-    memory by an input value fails at once rather than exhausting the host."""
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 class TestCount:
@@ -111,8 +96,7 @@ class TestCount:
 
     def test_largest_prime_below_the_cap_in_bounded_time(self):
         p = 2**63 - 25
-        proc = subprocess.run([*SUMSYS, "count", "--n", str(p)], capture_output=True,
-                              text=True, env=subprocess_env(), timeout=5)
+        proc = fresh.run([*SUMSYS, "count", "--n", str(p)], timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {
             "N": p, "counts": [{"m": 1, "count": 1}], "method": "closed-form",
@@ -191,9 +175,7 @@ class TestEnumerate:
     def test_cap_hit_is_found_before_enumerating(self):
         # 17,153,136 JOFs: counted first, so none is built
         start = time.perf_counter()
-        proc = subprocess.run([*SUMSYS, "enumerate", "--tuple", "64,64,64"],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=60)
+        proc = fresh.run([*SUMSYS, "enumerate", "--tuple", "64,64,64"], memory=GIB, timeout=60)
         assert time.perf_counter() - start < 2
         assert proc.returncode == 3
         assert proc.stdout == ""
@@ -202,9 +184,8 @@ class TestEnumerate:
     def test_long_tuple_refused_by_its_orders(self):
         # 200 parts have at least 200! JOFs, so nothing is counted
         start = time.perf_counter()
-        proc = subprocess.run([*SUMSYS, "enumerate", "--tuple", ",".join([str(WORST)] * 200)],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=60)
+        proc = fresh.run([*SUMSYS, "enumerate", "--tuple", ",".join([str(WORST)] * 200)],
+                         memory=GIB, timeout=60)
         assert time.perf_counter() - start < 5
         assert proc.returncode == 3
         assert proc.stdout == ""
@@ -339,18 +320,14 @@ class TestBuild:
         assert invoke(capsys, "build", "--jof", "nonsense")[0] == 2
 
     def test_jof_too_deep_to_parse(self):
-        proc = subprocess.run([*SUMSYS, "build", "--jof", "[" * 100_000],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              timeout=60)
+        proc = fresh.run([*SUMSYS, "build", "--jof", "[" * 100_000], timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "bad JOF JSON: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_huge_part_index(self):
-        proc = subprocess.run([*SUMSYS, "build", "--jof", "1000000000000:2"],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=60)
+        proc = fresh.run([*SUMSYS, "build", "--jof", "1000000000000:2"], memory=GIB, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: part 1 never appears (parts run 1..1000000000000)\n"
@@ -359,9 +336,8 @@ class TestBuild:
                              ids=["plain", "centred", "sum-and-distance"])
     def test_past_the_build_cap(self, flags):
         # N = 10^10 ran out of memory mid-build: refused before building now
-        proc = subprocess.run([*SUMSYS, "build", "--jof", "1:10000000000", *flags],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=60)
+        proc = fresh.run([*SUMSYS, "build", "--jof", "1:10000000000", *flags],
+                         memory=GIB, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
@@ -461,10 +437,9 @@ class TestVerify:
 
     def test_sum_and_distance_piped_into_verify(self):
         build = subprocess.Popen([*SUMSYS, "build", "--jof", WORKED, "--sum-and-distance"],
-                                 stdout=subprocess.PIPE, env=subprocess_env())
-        verify = subprocess.run([*SUMSYS, "verify", "--file", "/dev/stdin"],
-                                stdin=build.stdout, capture_output=True, text=True,
-                                env=subprocess_env(), timeout=60)
+                                 stdout=subprocess.PIPE, env=fresh.env())
+        verify = fresh.run([*SUMSYS, "verify", "--file", "/dev/stdin"], stdin=build.stdout,
+                           timeout=60)
         build.stdout.close()
         assert build.wait(timeout=60) == 0
         assert verify.returncode == 0
@@ -537,9 +512,7 @@ class TestVerify:
     def test_too_deep_to_parse(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
-        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              timeout=60)
+        proc = fresh.run([*SUMSYS, "verify", "--file", str(path)], timeout=60)
         assert proc.returncode == 1
         assert proc.stderr == ""
         verdict = json.loads(proc.stdout)
@@ -555,9 +528,7 @@ class TestVerify:
         comps = [[-t, t] if doubled else [0, t] for t in tops]
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"N": 1 << k, "components": comps, "doubled": doubled}))
-        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=5)
+        proc = fresh.run([*SUMSYS, "verify", "--file", str(path)], memory=GIB, timeout=5)
         assert proc.returncode == 1
         assert proc.stderr == ""
         reason = json.loads(proc.stdout)["reason"]
@@ -581,9 +552,7 @@ class TestVerify:
         path = tmp_path / "dense.json"
         path.write_text(json.dumps({"N": 1 << 34, "components": comps, "doubled": doubled}))
         start = time.perf_counter()
-        proc = subprocess.run([*SUMSYS, "verify", "--file", str(path)],
-                              capture_output=True, text=True, env=subprocess_env(),
-                              preexec_fn=limit_memory, timeout=60)
+        proc = fresh.run([*SUMSYS, "verify", "--file", str(path)], memory=GIB, timeout=60)
         assert time.perf_counter() - start < 2
         assert proc.returncode == 1
         assert proc.stderr == ""
@@ -690,10 +659,7 @@ class TestDeepIndices:
              "sqfree-deep-j", "count-huge-m"],
     )
     def test_subprocess(self, argv, expected):
-        proc = subprocess.run(
-            [*SUMSYS, *argv, "--format", "plain"],
-            capture_output=True, text=True, env=subprocess_env(), timeout=60,
-        )
+        proc = fresh.run([*SUMSYS, *argv, "--format", "plain"], timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{expected}\n"
 
@@ -727,10 +693,7 @@ class TestHugeValues:
         ids=["count-2000-parts", "divisor-fn-huge-j"],
     )
     def test_subprocess(self, exact_digits, fmt, argv, key, expected):
-        proc = subprocess.run(
-            [*SUMSYS, *argv, "--format", fmt],
-            capture_output=True, text=True, env=subprocess_env(), timeout=120,
-        )
+        proc = fresh.run([*SUMSYS, *argv, "--format", fmt], timeout=120)
         assert proc.returncode == 0, proc.stderr
         if fmt == "plain":
             assert proc.stdout == f"{expected}\n"
@@ -790,11 +753,8 @@ class TestLongTuples:
                              ids=["200-worst", "10000-twos"])
     def test_count_in_bounded_time(self, exact_digits, parts):
         start = time.perf_counter()
-        proc = subprocess.run(
-            [*SUMSYS, "count", "--tuple", ",".join(map(str, parts)), "--format", "plain"],
-            capture_output=True, text=True, env=subprocess_env(), preexec_fn=limit_memory,
-            timeout=120,
-        )
+        proc = fresh.run([*SUMSYS, "count", "--tuple", ",".join(map(str, parts)),
+                          "--format", "plain"], memory=GIB, timeout=120)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         assert elapsed < 20
@@ -856,7 +816,7 @@ class TestTopLevel:
         # `sumsys enumerate ... | head -1`: exit 0 and no traceback
         proc = subprocess.Popen(
             [*SUMSYS, "enumerate", "--tuple", BIG_TUPLE, "--format", fmt],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh.env(),
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -878,13 +838,11 @@ class TestTopLevel:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([*SUMSYS, *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=subprocess_env(),
-                                  cwd=tmp_path, timeout=60)
+            proc = fresh.run([*SUMSYS, *argv], stdout=write_end, cwd=tmp_path, timeout=60)
         finally:
             os.close(write_end)
         assert proc.returncode == 0
-        assert proc.stderr == b""
+        assert proc.stderr == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
@@ -896,9 +854,8 @@ class TestTopLevel:
         # every write to /dev/full fails with ENOSPC: at the final flush for
         # `count`, mid-stream for `enumerate`
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run([*SUMSYS, *argv], stdout=full, stderr=subprocess.PIPE,
-                                  env=subprocess_env(), timeout=60)
-        err = proc.stderr.decode()
+            proc = fresh.run([*SUMSYS, *argv], stdout=full, timeout=60)
+        err = proc.stderr
         assert proc.returncode == 2
         assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
@@ -921,8 +878,7 @@ class TestTopLevel:
                 "        raise OSError(28, 'No space left on device')\n"
                 "tempfile.TemporaryFile = Full\n"
                 "cli.main()\n")
-        proc = subprocess.run([sys.executable, "-c", code, "enumerate", "--tuple", "2,2"],
-                              capture_output=True, text=True, env=subprocess_env(), timeout=60)
+        proc = fresh.run([sys.executable, "-c", code, "enumerate", "--tuple", "2,2"], timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write the output: [Errno 28] No space left on device\n"
 
@@ -931,8 +887,7 @@ class TestTopLevel:
         # the imports of a host's site module from hiding a regression
         code = ("import sys; before = set(sys.modules); import sumsystems.cli; "
                 "print(*sorted(set(sys.modules) - before))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                              text=True, env=subprocess_env(), timeout=60)
+        proc = fresh.run([sys.executable, "-S", "-c", code], timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "sumsystems.cli" in loaded
@@ -947,8 +902,7 @@ class TestTopLevel:
                   f"{code}\n"
                   "sys.stdout = out\n"
                   "print(*sorted(set(sys.modules) - before))")
-        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True,
-                              text=True, env=subprocess_env(), cwd=cwd, timeout=60)
+        proc = fresh.run([sys.executable, "-S", "-c", script, *argv], cwd=cwd, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return {name for name in proc.stdout.split()
                 if name.partition(".")[0] in {"sumsystems", "fractions", "decimal", "json"}}
@@ -989,17 +943,11 @@ class TestTopLevel:
             "sumsystems", "sumsystems.cli", *(f"sumsystems.{name}" for name in expected)}
         assert loaded.isdisjoint({"fractions", "decimal"})
 
-    def test_console_script(self, tmp_path):
+    def test_console_script(self):
+        # an installed `sumsys` runs this checkout's package, as src/ comes
+        # first on PYTHONPATH, so a stale install cannot answer for it
         exe = shutil.which("sumsys")
-        if exe is None:
-            proc = subprocess.run(
-                [sys.executable, "-m", "sumsystems.cli", "count", "--n", "12", "--m", "2"],
-                capture_output=True, text=True,
-            )
-        else:
-            proc = subprocess.run(
-                [exe, "count", "--n", "12", "--m", "2"],
-                capture_output=True, text=True,
-            )
-        assert proc.returncode == 0
+        proc = fresh.run([*([exe] if exe else SUMSYS), "count", "--n", "12", "--m", "2"],
+                         timeout=60)
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["count"] == 14

@@ -2,14 +2,11 @@
 
 import gc
 import inspect
-import os
 import random
-import subprocess
 import sys
 import time
 import tracemalloc
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +35,7 @@ from sumsystems.counting import (
 from sumsystems.jof import count_for_tuple, ordered_factorisations
 from sumsystems.shape import DEFAULT_CAP, CapExceeded
 
+import fresh
 from oracles import binomial_inversion, binomial_transform, divisor_recurrence, naive_stirling2
 
 
@@ -209,9 +207,9 @@ class TestCountByRecurrence:
             "for m in range(46):\n"
             "    assert count_by_recurrence(n, m).value == count_m_part(n, m).value, m\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(counting.__file__).parents[1]))
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        proc = fresh.run([sys.executable, "-c", code], timeout=60)
+        assert proc.returncode == 0, proc.stderr
         assert time.perf_counter() - start < 10
 
 

@@ -10,30 +10,30 @@ a reader that stops after STOP_AFTER characters, as `| head` does, so
 that point; `main` exits 0 in that case.
 
 The classes that cannot pass yet are explicit xfails with their reasons,
-and run in a forked copy of this process that is killed at the budget, so
-each costs at most the budget.
+and run as `python -m sumsystems.cli` in a fresh interpreter (tests/fresh.py)
+killed at the budget, start-up included, so each costs at most the budget.
 
-The memory classes bound memory as well: each example is read to the end
-of its output, in a forked copy of this process whose address space may
-grow by at most its class's bound (RLIMIT_AS, as tests/test_cli.py's
-limit_memory sets it), so memory that follows the output, the document or
-the values rather than the work ends in a MemoryError.
+The memory classes run the same way, each example read to the end of its
+output, with the address space held to that of a fresh
+`import sumsystems.cli` plus the class's bound (RLIMIT_AS), so memory that
+follows the output, the document or the values rather than the work ends
+in a MemoryError.
 """
 
 import contextlib
 import functools
 import io
 import json
-import math
-import multiprocessing
 import os
-import resource
+import subprocess
+import sys
 import time
 from math import prod
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+import fresh
 from sumsystems.cli import run
 from sumsystems.jof import count_for_tuple, enumerate_jofs
 from sumsystems.shape import jof_to_text
@@ -72,20 +72,15 @@ class _ReaderStops(BaseException):
     characters; no handler of the package can catch it."""
 
 
-class OverBudget(AssertionError):
-    """A forked run still going at the budget."""
-
-
 class _Sink:
     """A stdout that counts what it is given and keeps none of it."""
 
-    def __init__(self, stop_after) -> None:
+    def __init__(self) -> None:
         self.size = 0
-        self.stop_after = stop_after
 
     def write(self, text: str) -> int:
         self.size += len(text)
-        if self.size > self.stop_after:
+        if self.size > STOP_AFTER:
             raise _ReaderStops
         return len(text)
 
@@ -93,20 +88,25 @@ class _Sink:
         pass
 
 
-def check(argv, path, stop_after=STOP_AFTER) -> None:
-    """Run argv in process, a bytes element standing for a `verify` file
-    written to path, its output read up to stop_after characters, and
-    assert the gate's three conditions."""
+def _written(argv, path) -> list:
+    """argv with a bytes element, a `verify` file, written to path and
+    replaced by its name."""
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, bytes):
             path.write_bytes(arg)
             argv[i] = str(path)
+    return argv
+
+
+def check(argv, path) -> None:
+    """Run argv in process, its output read up to STOP_AFTER characters,
+    and assert the gate's three conditions."""
     err = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(_Sink(stop_after)), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(_Sink()), contextlib.redirect_stderr(err):
         try:
-            code = run(argv)
+            code = run(_written(argv, path))
         except _ReaderStops:
             code = 0
     seconds = time.perf_counter() - start
@@ -115,39 +115,35 @@ def check(argv, path, stop_after=STOP_AFTER) -> None:
     assert seconds <= BUDGET_S, f"{seconds:.2f} s"
 
 
-def _bounded(argv, path, bound: int) -> None:
-    """check(argv) read to the end of its output, with this process's
-    address space held to bound bytes past its size now."""
-    with open("/proc/self/statm") as statm:
-        size = int(statm.read().split()[0]) * resource.getpagesize()
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    resource.setrlimit(resource.RLIMIT_AS, (size + bound, hard))
-    check(argv, path, stop_after=math.inf)
+@functools.cache
+def _import_size() -> int:
+    """The address space of a fresh `import sumsystems.cli`, in bytes."""
+    probe = ("import resource, sumsystems.cli\n"
+             "with open('/proc/self/statm') as statm:\n"
+             "    print(int(statm.read().split()[0]) * resource.getpagesize())")
+    return int(fresh.run([sys.executable, "-c", probe], timeout=60).stdout)
 
 
 @functools.lru_cache(maxsize=None)  # Hypothesis replays a failing example once more
-def _child_exit_code(argv: tuple, path, bound=None) -> int | None:
-    # fork, not spawn: the child starts with everything loaded, so the kill
-    # time is the budget; the test process runs no other thread
-    target, args = (check, (argv, path)) if bound is None else (_bounded, (argv, path, bound))
-    child = multiprocessing.get_context("fork").Process(target=target, args=args)
-    child.start()
-    child.join(BUDGET_S + 1.0)  # the rest covers the fork
-    if child.exitcode is None:
-        child.kill()
-        child.join()
-        return None
-    return child.exitcode
+def _fresh_outcome(argv: tuple, path, bound):
+    """argv as `sumsys` in a fresh interpreter, its output read to the end:
+    the finished process, or the TimeoutExpired at the budget."""
+    memory = None if bound is None else _import_size() + bound
+    try:
+        return fresh.run([*fresh.SUMSYS, *_written(argv, path)], stdout=subprocess.DEVNULL,
+                         timeout=BUDGET_S, memory=memory)
+    except subprocess.TimeoutExpired as exc:
+        return exc
 
 
-def check_in_child(argv, path, bound=None) -> None:
-    """check(argv) in a forked copy of this process, killed past the budget;
-    with a bound, read to the end and its memory bounded (_bounded)."""
-    code = _child_exit_code(tuple(argv), path, bound)
-    if code is None:
-        raise OverBudget(f"still running after {BUDGET_S} s")
-    assert code == 0, "the gate failed in the child" + (
-        "" if bound is None else f", or it needed more than {bound >> 20} MiB")
+def check_fresh(argv, path, bound=None) -> None:
+    """The gate's conditions on argv in a fresh interpreter; with a bound,
+    its address space may pass a fresh import's by at most bound bytes."""
+    done = _fresh_outcome(tuple(argv), path, bound)
+    if isinstance(done, subprocess.TimeoutExpired):
+        raise done
+    assert done.returncode in range(4), (done.returncode, done.stderr[-300:])
+    assert "Traceback" not in done.stderr, done.stderr[-300:]
 
 
 def csv(values) -> str:
@@ -362,26 +358,25 @@ DEEP_WALK = st.integers(50, 120).map(
 )
 
 
-# Memory classes: each runs to the end of its output, and the bound is on
-# the growth of the child's address space past the fork.  Memory the fork
-# inherits free is reused first, so growth reads low, and a regression
-# shows once it outgrows that slack and the bound.  The largest growth
-# measured on Python 3.11 (2 shared CPUs; no other CI Python was at hand),
-# forked from a process that had imported this module, is beside each
-# bound, which sits between it and the regression it must catch.
-# enumerate of up to WHOLE_JOFS JOFs: 0 MiB in either format (the traced
+# Memory classes: each runs to the end of its output in a fresh interpreter,
+# and the bound is on the growth of its address space past a fresh
+# `import sumsystems.cli` (18 MiB on Python 3.11).  The largest growth
+# measured on Python 3.11 (2 shared CPUs) is beside each bound, which sits
+# between it and the regression it must catch; CI prints each Python's.
+# enumerate of up to WHOLE_JOFS JOFs: 0-0.2 MiB in either format (the traced
 # peak is 0.8-1.2 MiB on Pythons 3.10-3.13); holding the 63,000 JOFs of
-# 2,49,3,35,98 until the walk ends grew it by 7 MiB, which a fork of the
-# whole suite absorbs, and the whole document by 173 MiB.
+# 2,49,3,35,98 until the walk ends grew it by 7.3 MiB, and the whole
+# document by 173 MiB.
 WHOLE_JOFS = 10**5
 ENUMERATE_BOUND = 4 << 20
-# build of up to the cap of 10**6 values: 46.3 MiB at 1:1000000, in each
+# build of up to the cap of 10**6 values: 46.2-46.6 MiB at 1:1000000, in each
 # form (the system and its JSON lists); writing the document as one string
 # peaked at 127 MiB traced.
 BUILD_BOUND = 64 << 20
-# verify of sparse wide documents: 27.1 MiB when a sparse stage reaches
-# _BUDGET, a set of 2^18 sums beside the 2^17 before it; the stage past it
-# (2^19 sums, or as a bitset of 2^24 bits and more) is refused unbuilt.
+# verify of sparse wide documents: 27.7 MiB when a sparse stage reaches
+# _BUDGET, a set of 2^18 sums beside the 2^17 before it, and 29.7 MiB for
+# k = 19, doubled, c = 4096; the stage past it (2^19 sums, or as a bitset
+# of 2^24 bits and more) is refused unbuilt.
 VERIFY_BOUND = 40 << 20
 MEMORY = settings(GATE, max_examples=10)
 WHOLE_FORMAT = st.sampled_from(([], ["--format", "json"], ["--format", "plain"]))
@@ -435,20 +430,22 @@ WIDE_VERIFY = argv_of(
     st.just(["verify", "--file"]), sparse_wide_documents().map(lambda doc: [doc]), WHOLE_FORMAT)
 
 
+STATM = pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                           reason="the bound reads the address space from /proc")
+
+
 def _memory(strategy, bound):
-    marks = pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
-                               reason="the bound reads the address space from /proc")
-    return pytest.param(strategy, MEMORY, functools.partial(check_in_child, bound=bound),
-                        marks=marks)
+    return pytest.param(strategy, MEMORY, functools.partial(check_fresh, bound=bound),
+                        marks=STATM)
 
 
-def _xfail(strategy, checker, raises, reason):
+def _xfail(strategy, reason):
     # strict=False: a faster machine or Python may finish a huge value in time
     marks = [
-        pytest.mark.xfail(raises=raises, reason=reason, strict=False),
+        pytest.mark.xfail(raises=subprocess.TimeoutExpired, reason=reason, strict=False),
         pytest.mark.filterwarnings("ignore:Generating overly large repr"),
     ]
-    return pytest.param(strategy, XFAIL, checker, marks=marks)
+    return pytest.param(strategy, XFAIL, check_fresh, marks=marks)
 
 
 CLASSES = {
@@ -460,12 +457,10 @@ CLASSES = {
     "divisor-fn": (DIVISOR_FN, GATE, check),
     "check": (CHECK, GATE, check),
     "tokens": (TOKENS, GATE, check),
-    "huge-j": _xfail(HUGE_J, check_in_child, OverBudget,
-                     "a 10,000-digit --j gives a value of 10^5 digits and more, "
-                     "quadratic to form and print"),
-    "huge-multinomial": _xfail(HUGE_MULTINOMIAL, check_in_child, OverBudget,
-                               "thousands of prime powers: one quadratic division and "
-                               "a 10^6-digit str()"),
+    "huge-j": _xfail(HUGE_J, "a 10,000-digit --j gives a value of 10^5 digits and more, "
+                             "quadratic to form and print"),
+    "huge-multinomial": _xfail(HUGE_MULTINOMIAL, "thousands of prime powers: one quadratic "
+                                                 "division and a 10^6-digit str()"),
     "deep-walk": (DEEP_WALK, GATE, check),
     "enumerate-memory": _memory(whole_enumerations(), ENUMERATE_BOUND),
     "build-memory": _memory(WHOLE_BUILDS, BUILD_BOUND),
@@ -486,3 +481,10 @@ def test_any_argv_exits_0_to_3_within_the_budget(argvs, gate, checker, document_
         checker(argv, document_path)
 
     each()
+
+
+@STATM
+def test_the_memory_bound_bites(document_path):
+    # build --jof 1:1000000 grows by 46.6 MiB, far past enumerate's bound
+    with pytest.raises(AssertionError, match="MemoryError"):
+        check_fresh(["build", "--jof", "1:1000000"], document_path, ENUMERATE_BOUND)

@@ -1,14 +1,12 @@
 """The public surface: __all__ against what the package binds."""
 
 import importlib
-import os
 import pkgutil
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+import fresh
 import sumsystems
 
 MODULES = ["sumsystems"] + [
@@ -41,23 +39,21 @@ def test_removed_names_are_gone(module):
     assert REMOVED.isdisjoint(vars(importlib.import_module(module)))
 
 
-def fresh(code):
+def after_bare_import(code):
     """Run code in a new `python -S` that has imported only sumsystems."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", "import sumsystems\n" + code],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh.run([sys.executable, "-S", "-c", "import sumsystems\n" + code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_dir_lists_all_before_any_access():
-    listed = fresh("print(*dir(sumsystems))").split()
+    listed = after_bare_import("print(*dir(sumsystems))").split()
     assert set(sumsystems.__all__) <= set(listed)
 
 
 def test_each_name_is_its_home_modules_object():
     # a function or class names its defining module itself; the table agrees
-    out = fresh(
+    out = after_bare_import(
         "import importlib\n"
         "for name in sumsystems.__all__:\n"
         "    home = f'sumsystems.{sumsystems._HOME[name]}'\n"
@@ -70,7 +66,7 @@ def test_each_name_is_its_home_modules_object():
 
 
 def test_submodules_resolve_after_a_bare_import():
-    names = fresh("print(*(getattr(sumsystems, m).__name__ for m in"
+    names = after_bare_import("print(*(getattr(sumsystems, m).__name__ for m in"
                   " ('arith', 'counting', 'invariants', 'jof', 'shape', 'systems', 'verify')))").split()
     assert names == ["sumsystems.arith", "sumsystems.counting", "sumsystems.invariants",
                      "sumsystems.jof", "sumsystems.shape", "sumsystems.systems",
@@ -89,7 +85,7 @@ def test_systems_binds_no_verification_name():
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         sumsystems.no_such_name
-    assert fresh("try:\n"
+    assert after_bare_import("try:\n"
                  "    sumsystems.no_such_name\n"
                  "except AttributeError as exc:\n"
                  "    print(exc)\n") == "module 'sumsystems' has no attribute 'no_such_name'\n"

@@ -4,9 +4,10 @@ nothing on an unchanged copy."""
 import base64
 import json
 import shutil
-import subprocess
 import sys
 from pathlib import Path
+
+import fresh
 
 ROOT = Path(__file__).resolve().parents[1]
 REPLAY = ROOT / "tests" / "replay.py"
@@ -26,11 +27,8 @@ CORPUS = {
 def replay(tmp_path, new: Path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps(CORPUS))
-    return subprocess.run(
-        [sys.executable, str(REPLAY), "--old", str(ROOT), "--new", str(new),
-         "--corpus", str(corpus), "--n", "32"],
-        capture_output=True, text=True, timeout=120,
-    )
+    return fresh.run([sys.executable, str(REPLAY), "--old", str(ROOT), "--new", str(new),
+                      "--corpus", str(corpus), "--n", "32"], timeout=120)
 
 
 def copy_of_src(tmp_path, name: str) -> Path:
